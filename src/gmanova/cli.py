@@ -31,6 +31,8 @@ from .io import (
 )
 from .oracle import dense_min_norm_solve, t_by_decomposition
 from .scenarios import (
+    EFFECTS,
+    SCENARIO_NAMES,
     Scenario,
     growth_curve,
     one_way_manova,
@@ -40,16 +42,12 @@ from .scenarios import (
 from .simulate import (
     CovarianceSpec,
     ErrorDistribution,
-    _apply_factor,
-    _sigma_factor,
-    _substream,
     calibrate_signal_ray,
     canonical_direction,
     monte_carlo,
+    replication_sampler,
 )
 from .trace_test import MeanModel, run_test, statistic_t
-
-SCENARIO_NAMES = ("one-way", "two-way", "profile-parallelism", "growth-curve")
 
 
 def _parse_sizes(text: str, what: str) -> tuple[int, ...]:
@@ -179,13 +177,6 @@ def cmd_test(args) -> int:
         raise ConfigError(
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
-    if args.scenario == "one-way" and args.design is None:
-        for i, n in enumerate(sample.group_sizes):
-            if n < 4:
-                label = sample.labels[i] if sample.labels else str(i)
-                raise ConfigError(
-                    f"group {i} ({label!r}) has {n} rows; the one-way test "
-                    f"needs at least 4 per group")
     report = run_test(sample, design, args.alpha, diagnostics=args.diagnostics)
     invocation = {"data": str(args.data), "design": str(args.design),
                   "scenario": args.scenario, "alpha": args.alpha,
@@ -243,16 +234,10 @@ def cmd_diagnose(args) -> int:
     ok &= _check("omega diagonal is zero",
                  float(np.max(np.abs(np.diag(proj.omega)))) == 0.0)
 
-    factors = [_sigma_factor(S) for S in model.sigmas]
-    mean_matrix = design.A @ model.theta @ design.B.T
+    draw = replication_sampler(design, model, dists)
     worst = 0.0
     for j in range(args.draws):
-        rng = _substream(seed, j)
-        X = np.empty((design.N, design.p))
-        for i in range(design.g):
-            Z = dists[i].sample(rng, design.group_sizes[i], design.p)
-            X[design.group_slice(i)] = _apply_factor(Z, factors[i])
-        X += mean_matrix
+        X = draw(seed, j)
         fast = statistic_t(X, proj.compressor, proj.omega)
         slow = t_by_decomposition(X, design)
         worst = max(worst, abs(fast - slow) / max(1.0, abs(slow)))
@@ -293,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", type=float, default=0.05)
     t.add_argument("--degree", type=int, default=None, help="growth-curve degree")
     t.add_argument("--levels", type=_levels, default=None, help="two-way levels, e.g. 2,3")
-    t.add_argument("--effect", default=None, choices=("main_a", "main_b", "interaction"))
+    t.add_argument("--effect", default=None, choices=EFFECTS)
     t.add_argument("--header", action="store_true", help="data file has a header row")
     t.add_argument("--diagnostics", action="store_true")
     t.add_argument("--out", default=None, help="report JSON path")
@@ -317,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--degree", type=int, default=None)
     c.add_argument("--levels", type=_levels, default=None)
-    c.add_argument("--effect", default=None, choices=("main_a", "main_b", "interaction"))
+    c.add_argument("--effect", default=None, choices=EFFECTS)
     c.add_argument("--emit", required=True, help="output directory")
     c.set_defaults(func=cmd_scenario)
     return parser

@@ -12,6 +12,7 @@ matrix Omega that makes the trace statistic unbiased.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +36,24 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
-def numerical_rank(M) -> int:
-    """Rank of a matrix from its singular values, relative cutoff RANK_RTOL."""
-    s = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)), compute_uv=False)
+def _rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > RANK_RTOL * s[0]))
+
+
+def numerical_rank(M) -> int:
+    """Rank of a matrix from its singular values, relative cutoff RANK_RTOL."""
+    return _rank(np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)),
+                               compute_uv=False))
+
+
+def range_basis(M) -> np.ndarray:
+    """Orthonormal basis of the column space of M: its thin left singular
+    vectors up to the numerical rank (zero columns for an all-zero M)."""
+    U, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)),
+                            full_matrices=False)
+    return U[:, :_rank(s)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +131,7 @@ class DesignSpec:
     def g(self) -> int:
         return len(self.group_sizes)
 
-    @property
+    @cached_property
     def group_offsets(self) -> tuple[int, ...]:
         offs = np.concatenate(([0], np.cumsum(self.group_sizes[:-1])))
         return tuple(int(o) for o in offs)
@@ -211,7 +224,9 @@ def row_compressor(design: DesignSpec) -> np.ndarray:
     return inv_sqrt @ (GinvRT.T @ B.T)
 
 
-def _min_norm_weights(pi_a: np.ndarray, h_diag: np.ndarray) -> tuple[np.ndarray, float]:
+def _balancing_weights(pi_a: np.ndarray, h_diag) -> tuple[np.ndarray, float]:
+    """Minimum-norm solve with the relative residual gate; returns the
+    weights and the relative residual."""
     n = pi_a.shape[0]
     C = np.eye(n) - pi_a
     C = C * C
@@ -222,6 +237,10 @@ def _min_norm_weights(pi_a: np.ndarray, h_diag: np.ndarray) -> tuple[np.ndarray,
     scale = float(np.linalg.norm(h))
     resid = float(np.linalg.norm(C @ d - h))
     rel = resid / scale if scale > 0.0 else resid
+    if rel > BALANCE_RTOL:
+        raise NoBalancingSolution(
+            f"balancing system has no solution: relative residual {rel:.3e} "
+            f"exceeds {BALANCE_RTOL:g}")
     return d, rel
 
 
@@ -232,13 +251,7 @@ def solve_balancing_weights(pi_a, h_diag) -> np.ndarray:
     Raises NoBalancingSolution when the relative residual exceeds
     BALANCE_RTOL; the bias-corrected statistic is undefined for such designs.
     """
-    pi_a = _as_matrix(pi_a, "pi_a")
-    d, rel = _min_norm_weights(pi_a, h_diag)
-    if rel > BALANCE_RTOL:
-        raise NoBalancingSolution(
-            f"balancing system has no solution: relative residual {rel:.3e} "
-            f"exceeds {BALANCE_RTOL:g}")
-    return d
+    return _balancing_weights(_as_matrix(pi_a, "pi_a"), h_diag)[0]
 
 
 def build_omega(pi_h, pi_a, d) -> np.ndarray:
@@ -246,7 +259,7 @@ def build_omega(pi_h, pi_a, d) -> np.ndarray:
     exactly zero diagonal.
 
     A diagonal residue above OMEGA_DIAG_TOL means the supplied weights do not
-    solve the balancing system and is reported as an internal error.
+    solve the balancing system and raises NoBalancingSolution.
     """
     pi_h = _as_matrix(pi_h, "pi_h")
     pi_a = _as_matrix(pi_a, "pi_a")
@@ -257,7 +270,7 @@ def build_omega(pi_h, pi_a, d) -> np.ndarray:
     omega = (omega + omega.T) / 2.0
     worst = float(np.max(np.abs(np.diag(omega)))) if n else 0.0
     if worst > OMEGA_DIAG_TOL:
-        raise RuntimeError(
+        raise NoBalancingSolution(
             f"omega diagonal residue {worst:.3e} exceeds {OMEGA_DIAG_TOL:g}; "
             "balancing weights are inconsistent with the design")
     np.fill_diagonal(omega, 0.0)
@@ -273,12 +286,16 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     pi_a = projector(design.A)
     pi_h, h_diag = hypothesis_projector(design)
     compressor = row_compressor(design)
-    d, rel = _min_norm_weights(pi_a, h_diag)
-    if rel > BALANCE_RTOL:
-        raise NoBalancingSolution(
-            f"balancing system has no solution: relative residual {rel:.3e} "
-            f"exceeds {BALANCE_RTOL:g}")
+    d, rel = _balancing_weights(pi_a, h_diag)
     omega = build_omega(pi_h, pi_a, d)
     return ProjectionSet(pi_a=pi_a, pi_h=pi_h, h_diag=h_diag,
                          compressor=compressor, d=d, omega=omega,
                          balancing_residual=rel)
+
+
+def omega_sq_block_sums(omega, group_sizes) -> np.ndarray:
+    """g x g sums of omega o omega over the blocks of the group partition;
+    every variance functional of the statistic contracts against these."""
+    omega = np.asarray(omega, dtype=float)
+    offs = np.concatenate(([0], np.cumsum(group_sizes)[:-1]))
+    return np.add.reduceat(np.add.reduceat(omega * omega, offs, axis=0), offs, axis=1)

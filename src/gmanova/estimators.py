@@ -5,6 +5,10 @@ scatter matrix S_i and fourth-order statistic Q_i, the tau coefficients of
 the entrywise-squared residual maker, unbiased estimates of tr(Psi_i^2) and
 tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
+
+The estimate is computed here and nowhere else, in two steps:
+variance_design (tau coefficients and omega block sums, once per design)
+and variance_from_data (scatters, a2, b and sigma0, once per data matrix).
 """
 
 from __future__ import annotations
@@ -13,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec, ProjectionSet, build_projections, numerical_rank, projector
+from .design import (
+    DesignSpec,
+    ProjectionSet,
+    build_projections,
+    numerical_rank,
+    omega_sq_block_sums,
+    projector,
+    range_basis,
+)
 from .errors import ConfigError, DegenerateGroupError, DesignError, EstimatorUndefinedError
 
 
@@ -58,22 +70,14 @@ class GroupedSample:
     def g(self) -> int:
         return len(self.group_sizes)
 
-    @property
-    def group_offsets(self) -> tuple[int, ...]:
-        offs = np.concatenate(([0], np.cumsum(self.group_sizes[:-1])))
-        return tuple(int(o) for o in offs)
-
-    def block(self, i: int) -> np.ndarray:
-        off = self.group_offsets[i]
-        return self.X[off:off + self.group_sizes[i]]
-
 
 @dataclass(frozen=True, eq=False)
 class VarianceEstimate:
     """Everything the null-variance estimate is made of: per-group S_i, Q_i,
-    tau coefficients, design-block ranks, the unbiased a2/b estimates, the
-    block-expanded matrix v_hat, and sigma0_sq_hat itself (which may be
-    non-positive for general designs; the sign is preserved, never clamped).
+    tau coefficients, design-block ranks, the unbiased a2/b estimates, and
+    sigma0_sq_hat itself (which may be non-positive for general designs; the
+    sign is preserved, never clamped).  The block-expanded N x N matrix v_hat
+    is built only when read.
     """
 
     s: tuple[np.ndarray, ...]
@@ -82,8 +86,12 @@ class VarianceEstimate:
     k: np.ndarray
     a2: np.ndarray
     b: np.ndarray
-    v: np.ndarray
     sigma0_sq: float
+    group_sizes: tuple[int, ...]
+
+    @property
+    def v(self) -> np.ndarray:
+        return v_hat(self.a2, self.b, self.group_sizes)
 
 
 def group_projector(A_i) -> np.ndarray:
@@ -96,12 +104,26 @@ def group_projector(A_i) -> np.ndarray:
     return projector(A_i)
 
 
+def compress(X, compressor) -> np.ndarray:
+    """Rows of X mapped by the design's row compressor P (PP' = I_r).
+
+    A square compressor is orthogonal and every trace the test uses is
+    invariant under it, so it is skipped.
+    """
+    X = np.asarray(X, dtype=float)
+    compressor = np.asarray(compressor, dtype=float)
+    if compressor.shape[0] == compressor.shape[1]:
+        return X
+    return X @ compressor.T
+
+
 def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0):
     """Compressed residual scatter of one group.
 
     Returns (S_i, Q_i, k_i) where S_i is the r x r scatter of the compressed
     residuals divided by N_i - k_i, Q_i the matching fourth-order statistic,
-    and k_i the numerical rank of the group design block.
+    and k_i the numerical rank of the group design block.  The rows are
+    compressed first, then centred on the orthonormal basis of A_i.
     """
     X_i = np.asarray(X_i, dtype=float)
     A_i = np.asarray(A_i, dtype=float)
@@ -109,16 +131,22 @@ def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0):
     if A_i.shape[0] != n_i:
         raise DesignError(
             f"group {group}: A block has {A_i.shape[0]} rows but data has {n_i}")
-    k_i = numerical_rank(A_i)
+    U = range_basis(A_i)
+    k_i = U.shape[1]
     m = n_i - k_i
     if m < 1:
         raise DegenerateGroupError(
             group, f"needs N_i > k_i (N_i={n_i}, k_i={k_i})")
-    resid = X_i - group_projector(A_i) @ X_i
-    Y = resid @ compressor.T
-    S = (Y.T @ Y) / m
-    S = (S + S.T) / 2.0
-    Q = float(np.sum(np.sum(Y * Y, axis=1) ** 2)) / m
+    Y = compress(X_i, compressor)
+    # In place: this runs per Monte Carlo replication, where every fresh
+    # n_i x r or r x r temporary costs page faults.
+    resid = Y
+    if k_i:
+        resid = U @ (U.T @ Y)
+        np.subtract(Y, resid, out=resid)
+    S = resid.T @ resid
+    S /= m
+    Q = float(np.sum(np.sum(resid * resid, axis=1) ** 2)) / m
     return S, Q, k_i
 
 
@@ -150,14 +178,13 @@ def a2_hat(S_i, Q_i: float, tau_i, n_i: int, k_i: int) -> float:
     """Unbiased estimate of tr(Psi_i^2) from the group scatter statistics.
 
     May be negative for general designs; callers decide how to handle the
-    sign (the test's decision rule uses an indicator).
+    sign (the test's decision rule uses an indicator).  tau_i comes from
+    tau_coefficients, which rejects groups with N_i - k_i < 2.
     """
     m = n_i - k_i
-    if m < 2:
-        raise DegenerateGroupError(0, f"needs N_i - k_i >= 2 (N_i={n_i}, k_i={k_i})")
     t1, t2, t3 = tau_i
     tr_s = float(np.trace(S_i))
-    tr_s2 = float(np.sum(S_i * S_i))
+    tr_s2 = float(np.einsum("ij,ij->", S_i, S_i))
     num = ((m * m * t2 - t1 * t1) * tr_s2
            - (m * t2 - t1 * t1) * tr_s * tr_s
            - (m - 1.0) * t1 * Q_i)
@@ -165,36 +192,85 @@ def a2_hat(S_i, Q_i: float, tau_i, n_i: int, k_i: int) -> float:
 
 
 def b_hat(S_i, S_j) -> float:
-    """Unbiased estimate tr(S_i S_j) of tr(Psi_i Psi_j) for distinct groups."""
+    """Unbiased estimate tr(S_i S_j) of tr(Psi_i Psi_j) for distinct groups;
+    the scatters are symmetric, so no transposed operand is read."""
     S_i = np.asarray(S_i, dtype=float)
     S_j = np.asarray(S_j, dtype=float)
     if S_i.shape != S_j.shape or S_i.ndim != 2 or S_i.shape[0] != S_i.shape[1]:
         raise ValueError(f"incompatible scatter shapes {S_i.shape} and {S_j.shape}")
-    return float(np.sum(S_i * S_j.T))
+    return float(np.einsum("ij,ij->", S_i, S_j))
 
 
 def v_hat(a2_hats, b_hats, group_sizes) -> np.ndarray:
     """Block-constant N x N matrix with a2 estimates on diagonal blocks and
-    b estimates on off-diagonal blocks."""
+    b estimates on off-diagonal blocks (a dense reference; the estimate
+    itself contracts the g x g blocks)."""
     a2 = np.asarray(a2_hats, dtype=float).ravel()
     b = np.asarray(b_hats, dtype=float)
     g = a2.shape[0]
     if b.shape != (g, g):
         raise ValueError(f"b_hats must be {g}x{g}, got {b.shape}")
-    coef = b.copy()
-    np.fill_diagonal(coef, a2)
     idx = np.repeat(np.arange(g), np.asarray(group_sizes, dtype=int))
-    return coef[np.ix_(idx, idx)]
+    return _block_coef(a2, b)[np.ix_(idx, idx)]
 
 
 def sigma0_hat(omega, v) -> float:
-    """Null-variance estimate 2 tr((omega o omega) v).
+    """Null-variance estimate 2 tr((omega o omega) v), the dense reference
+    of sigma0_from_blocks.
 
     The value may be non-positive for general designs; it is reported as-is.
     """
     omega = np.asarray(omega, dtype=float)
     v = np.asarray(v, dtype=float)
     return 2.0 * float(np.sum(omega * omega * v))
+
+
+def _block_coef(a2, b) -> np.ndarray:
+    """g x g coefficients: a2 on the diagonal, b off it."""
+    coef = np.array(b, dtype=float)
+    np.fill_diagonal(coef, a2)
+    return coef
+
+
+def sigma0_from_blocks(blocks, a2, b) -> float:
+    """sigma0_hat contracted over the g x g omega o omega block sums:
+    2 sum(blocks o coef), a2 on the diagonal of coef and b off it."""
+    return 2.0 * float(np.sum(blocks * _block_coef(a2, b)))
+
+
+def variance_design(design: DesignSpec, omega) -> tuple[np.ndarray, np.ndarray]:
+    """Design step: the g x 3 tau coefficients of the groups and the g x g
+    omega o omega block sums."""
+    tau = np.empty((design.g, 3))
+    for i in range(design.g):
+        A_i = design.A_block(i)
+        tau[i] = tau_coefficients(group_projector(A_i), design.group_sizes[i],
+                                  numerical_rank(A_i), group=i)
+    return tau, omega_sq_block_sums(omega, design.group_sizes)
+
+
+def variance_from_data(X, design: DesignSpec, compressor, tau,
+                       blocks) -> VarianceEstimate:
+    """Data step: group scatters, a2 and b estimates, and sigma0_sq for one
+    N x p data matrix, given the design step's tau and block sums."""
+    g = design.g
+    s_list: list[np.ndarray] = []
+    q = np.empty(g)
+    k = np.empty(g, dtype=int)
+    a2 = np.empty(g)
+    for i in range(g):
+        n_i = design.group_sizes[i]
+        S_i, q[i], k[i] = group_residual_scatter(
+            X[design.group_slice(i)], design.A_block(i), compressor, group=i)
+        a2[i] = a2_hat(S_i, q[i], tau[i], n_i, k[i])
+        s_list.append(S_i)
+    b = np.zeros((g, g))
+    for i in range(g):
+        for j in range(i + 1, g):
+            b[i, j] = b[j, i] = b_hat(s_list[i], s_list[j])
+    return VarianceEstimate(s=tuple(s_list), q=q, tau=tau, k=k, a2=a2, b=b,
+                            sigma0_sq=sigma0_from_blocks(blocks, a2, b),
+                            group_sizes=design.group_sizes)
 
 
 def estimate_variance(sample: GroupedSample, design: DesignSpec,
@@ -209,31 +285,5 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec,
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
     proj = projections if projections is not None else build_projections(design)
-    g = design.g
-    s_list: list[np.ndarray] = []
-    q = np.empty(g)
-    k = np.empty(g, dtype=int)
-    tau = np.empty((g, 3))
-    a2 = np.empty(g)
-    for i in range(g):
-        X_i = sample.block(i)
-        A_i = design.A_block(i)
-        S_i, Q_i, k_i = group_residual_scatter(X_i, A_i, proj.compressor, group=i)
-        n_i = design.group_sizes[i]
-        if n_i - k_i < 2:
-            raise DegenerateGroupError(
-                i, f"needs N_i - k_i >= 2 (N_i={n_i}, k_i={k_i})")
-        tau_i = tau_coefficients(group_projector(A_i), n_i, k_i, group=i)
-        s_list.append(S_i)
-        q[i] = Q_i
-        k[i] = k_i
-        tau[i] = tau_i
-        a2[i] = a2_hat(S_i, Q_i, tau_i, n_i, k_i)
-    b = np.zeros((g, g))
-    for i in range(g):
-        for j in range(i + 1, g):
-            b[i, j] = b[j, i] = b_hat(s_list[i], s_list[j])
-    v = v_hat(a2, b, design.group_sizes)
-    sigma0 = sigma0_hat(proj.omega, v)
-    return VarianceEstimate(s=tuple(s_list), q=q, tau=tau, k=k, a2=a2, b=b,
-                            v=v, sigma0_sq=sigma0)
+    tau, blocks = variance_design(design, proj.omega)
+    return variance_from_data(sample.X, design, proj.compressor, tau, blocks)

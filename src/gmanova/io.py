@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import jsonschema
@@ -21,7 +22,9 @@ from . import __version__
 from .design import DesignSpec
 from .errors import ConfigError
 from .estimators import GroupedSample
-from .trace_test import DiagnosticsReport, TestReport
+from .scenarios import EFFECTS, SCENARIO_NAMES
+from .simulate import COVARIANCE_KINDS, DISTRIBUTION_KINDS
+from .trace_test import TestReport
 
 MATRIX_KEYS = ("A", "B", "L", "R")
 
@@ -140,30 +143,8 @@ def write_design(design: DesignSpec, directory) -> Path:
     return out
 
 
-def _diagnostics_to_dict(diag: DiagnosticsReport) -> dict:
-    return {
-        "rho_n": diag.rho_n,
-        "a2_ratio": diag.a2_ratio,
-        "a3_ratio": diag.a3_ratio,
-        "d1_bound": diag.d1_bound,
-        "heuristic": diag.heuristic,
-        "group_imbalance": diag.group_imbalance,
-    }
-
-
 def report_to_dict(report: TestReport) -> dict:
-    out = {
-        "t_stat": report.t_stat,
-        "sigma0_sq_hat": report.sigma0_sq_hat,
-        "z": report.z,
-        "p_value": report.p_value,
-        "alpha": report.alpha,
-        "reject": report.reject,
-        "degenerate": report.degenerate,
-        "diagnostics": (None if report.diagnostics is None
-                        else _diagnostics_to_dict(report.diagnostics)),
-    }
-    return out
+    return asdict(report)
 
 
 def config_hash(config: dict) -> str:
@@ -172,37 +153,26 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def write_report(report: TestReport, path, config: dict | None = None) -> None:
-    """Write a test report as JSON with tool version and config digest."""
-    payload = report_to_dict(report)
+def _write_stamped(payload: dict, path, config: dict | None) -> None:
     payload["tool_version"] = __version__
     payload["config_hash"] = config_hash(config) if config is not None else None
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def write_report(report: TestReport, path, config: dict | None = None) -> None:
+    """Write a test report as JSON with tool version and config digest."""
+    _write_stamped(report_to_dict(report), path, config)
+
+
 def write_summary(summary, path, config: dict | None = None) -> None:
     """Write a simulation summary as JSON with tool version and config digest."""
-    payload = {
-        "replications": summary.replications,
-        "rejection_rate": summary.rejection_rate,
-        "mc_standard_error": summary.mc_standard_error,
-        "z_mean": summary.z_mean,
-        "z_variance": summary.z_variance,
-        "ks_distance": summary.ks_distance,
-        "predicted_power": summary.predicted_power,
-        "degenerate_count": summary.degenerate_count,
-        "seed": summary.seed,
-        "tool_version": __version__,
-        "config_hash": config_hash(config) if config is not None else None,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_stamped(asdict(summary), path, config)
 
 
 _DISTRIBUTION_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["gaussian", "elliptical_t", "standardized_gamma",
-                          "rademacher"]},
+        "kind": {"enum": list(DISTRIBUTION_KINDS)},
         "df": {"type": "number"},
         "shape": {"type": "number"},
     },
@@ -213,8 +183,7 @@ _DISTRIBUTION_SCHEMA = {
 _COVARIANCE_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["identity", "compound_symmetry", "ar1",
-                          "diagonal_ramp"]},
+        "kind": {"enum": list(COVARIANCE_KINDS)},
         "rho": {"type": "number"},
         "lo": {"type": "number"},
         "hi": {"type": "number"},
@@ -242,14 +211,13 @@ _THETA_SCHEMA = {
 _SCENARIO_SCHEMA = {
     "type": "object",
     "properties": {
-        "name": {"enum": ["one-way", "two-way", "profile-parallelism",
-                          "growth-curve"]},
+        "name": {"enum": list(SCENARIO_NAMES)},
         "group_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
         "p": {"type": "integer"},
         "levels": {"type": "array", "items": {"type": "integer"},
                    "minItems": 2, "maxItems": 2},
         "cell_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "effect": {"enum": ["main_a", "main_b", "interaction"]},
+        "effect": {"enum": list(EFFECTS)},
         "degree": {"type": "integer"},
     },
     "required": ["name"],

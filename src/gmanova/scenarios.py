@@ -18,6 +18,7 @@ from .design import DesignSpec
 from .errors import ConfigError, DesignError
 
 EFFECTS = ("main_a", "main_b", "interaction")
+SCENARIO_NAMES = ("one-way", "two-way", "profile-parallelism", "growth-curve")
 
 
 @dataclass(frozen=True, eq=False)

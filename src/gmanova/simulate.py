@@ -146,18 +146,18 @@ class CovarianceSpec:
             S = np.diag(np.linspace(self.lo, self.hi, p))
         return self.scale * S
 
+    @lru_cache(maxsize=64)
     def sqrt(self, p: int) -> np.ndarray:
-        return _covariance_sqrt(self, int(p))
+        return _covariance_root(self.matrix(p), f"{self.kind} covariance at p={p}",
+                                ConfigError)
 
 
-@lru_cache(maxsize=64)
-def _covariance_sqrt(spec: CovarianceSpec, p: int) -> np.ndarray:
-    S = spec.matrix(p)
-    w, V = np.linalg.eigh(S)
+def _covariance_root(S: np.ndarray, what: str, error: type[Exception]) -> np.ndarray:
+    """Symmetric square root of a covariance through its eigendecomposition;
+    raises `error` when it is not positive definite."""
+    w, V = np.linalg.eigh((S + S.T) / 2.0)
     if w[0] <= 0.0:
-        raise ConfigError(
-            f"{spec.kind} covariance is not positive definite at p={p} "
-            f"(min eigenvalue {w[0]:.3e})")
+        raise error(f"{what} is not positive definite (min eigenvalue {w[0]:.3e})")
     root = (V * np.sqrt(w)) @ V.T
     return (root + root.T) / 2.0
 
@@ -184,11 +184,7 @@ def _sigma_factor(S: np.ndarray):
         if d.size and np.all(d == d[0]):
             return ("scalar", sqrt(float(d[0])))
         return ("diag", np.sqrt(d))
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
-    if w[0] <= 0.0:
-        raise ValueError(f"covariance is not positive definite (min eigenvalue {w[0]:.3e})")
-    root = (V * np.sqrt(w)) @ V.T
-    return ("full", (root + root.T) / 2.0)
+    return ("full", _covariance_root(S, "covariance", ValueError))
 
 
 def _apply_factor(Z: np.ndarray, factor) -> np.ndarray:
@@ -198,6 +194,28 @@ def _apply_factor(Z: np.ndarray, factor) -> np.ndarray:
     if mode == "diag":
         return Z * payload[None, :]
     return Z @ payload
+
+
+def replication_sampler(design: DesignSpec, model: MeanModel, dists):
+    """draw(seed, j): the N x p data matrix of replication j of a run keyed
+    by seed, drawn from the substream (seed, j) with one error distribution
+    per group, the model's covariances and its mean."""
+    factors = [_sigma_factor(S) for S in model.sigmas]
+    mean_matrix = design.A @ model.theta @ design.B.T
+    has_mean = bool(np.any(mean_matrix))
+    slices = [design.group_slice(i) for i in range(design.g)]
+
+    def draw(seed: int, j: int) -> np.ndarray:
+        rng = _substream(seed, j)
+        X = np.empty((design.N, design.p))
+        for i, sl in enumerate(slices):
+            Z = dists[i].sample(rng, design.group_sizes[i], design.p)
+            X[sl] = _apply_factor(Z, factors[i])
+        if has_mean:
+            X += mean_matrix
+        return X
+
+    return draw
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -249,25 +267,14 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
     sigma2, sigma0_sq = sigma_full(model, design, engine.projections)
     predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
 
-    mean_matrix = design.A @ model.theta @ design.B.T
-    has_mean = bool(np.any(mean_matrix))
-    factors = [_sigma_factor(S) for S in model.sigmas]
-    slices = [design.group_slice(i) for i in range(design.g)]
-    N, p = design.N, design.p
+    draw = replication_sampler(design, model, dists)
 
     z_vals = np.empty(reps)
     rejects = np.zeros(reps, dtype=bool)
     degenerate = np.zeros(reps, dtype=bool)
 
     def run_one(j: int) -> None:
-        rng = _substream(seed, j)
-        X = np.empty((N, p))
-        for i, sl in enumerate(slices):
-            Z = dists[i].sample(rng, design.group_sizes[i], p)
-            X[sl] = _apply_factor(Z, factors[i])
-        if has_mean:
-            X += mean_matrix
-        t, _, _, s0 = engine.statistics(X)
+        t, _, _, s0 = engine.statistics(draw(seed, j))
         z, _, rej, degen = _decide(t, s0, engine.alpha)
         z_vals[j] = z
         rejects[j] = rej

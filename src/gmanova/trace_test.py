@@ -20,16 +20,15 @@ from math import sqrt
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .design import DesignSpec, ProjectionSet, build_projections, numerical_rank
-from .errors import ConfigError, DegenerateGroupError
+from .design import DesignSpec, ProjectionSet, build_projections, omega_sq_block_sums
+from .errors import ConfigError
 from .estimators import (
     GroupedSample,
-    a2_hat,
+    compress,
     estimate_variance,
-    group_projector,
-    sigma0_hat,
-    tau_coefficients,
-    v_hat,
+    sigma0_from_blocks,
+    variance_design,
+    variance_from_data,
 )
 
 # q / sqrt(sigma^2) beyond which the asymptotic power is reported as 1.
@@ -92,9 +91,9 @@ class MeanModel:
 
 
 def statistic_t(X, compressor, omega) -> float:
-    """The bias-corrected trace statistic T = tr(P X' Omega X P')."""
-    X = np.asarray(X, dtype=float)
-    Y = X @ np.asarray(compressor, dtype=float).T
+    """The bias-corrected trace statistic T = tr(P X' Omega X P') for the
+    design's row compressor P (a square one is skipped, see compress)."""
+    Y = compress(X, compressor)
     return float(np.sum((np.asarray(omega, dtype=float) @ Y) * Y))
 
 
@@ -126,34 +125,8 @@ class TraceTestEngine:
         self.design = design
         self.alpha = _check_alpha(alpha)
         self.projections = build_projections(design)
-        P = self.projections.compressor
-        self._identity_compressor = (
-            P.shape[0] == P.shape[1] and np.array_equal(P, np.eye(P.shape[0])))
         self.omega = self.projections.omega
-
-        g = design.g
-        self._centerers: list[np.ndarray] = []
-        self._ks: list[int] = []
-        self._taus: list[tuple[float, float, float]] = []
-        for i in range(g):
-            A_i = design.A_block(i)
-            n_i = design.group_sizes[i]
-            k_i = numerical_rank(A_i)
-            if n_i - k_i < 2:
-                raise DegenerateGroupError(
-                    i, f"needs N_i - k_i >= 2 (N_i={n_i}, k_i={k_i})")
-            pia = group_projector(A_i)
-            self._centerers.append(np.eye(n_i) - pia)
-            self._ks.append(k_i)
-            self._taus.append(tau_coefficients(pia, n_i, k_i, group=i))
-
-        # Per-block sums of omega^2; sigma0_hat reduces to a g x g contraction.
-        offs = list(design.group_offsets) + [design.N]
-        osq = self.omega * self.omega
-        self._omega_sq_blocks = np.array(
-            [[float(np.sum(osq[offs[a]:offs[a + 1], offs[b]:offs[b + 1]]))
-              for b in range(g)] for a in range(g)])
-        self._z_crit = float(ndtri(1.0 - self.alpha))
+        self._tau, self._blocks = variance_design(design, self.omega)
 
     def statistics(self, X: np.ndarray):
         """Raw ingredients (t, a2, b, sigma0_sq) for one data matrix."""
@@ -161,28 +134,10 @@ class TraceTestEngine:
         if X.shape != (design.N, design.p):
             raise ConfigError(
                 f"data shape {X.shape} does not match design ({design.N}, {design.p})")
-        Y = X if self._identity_compressor else X @ self.projections.compressor.T
-        t = float(np.sum((self.omega @ Y) * Y))
-
-        g = design.g
-        s_list = []
-        a2 = np.empty(g)
-        for i in range(g):
-            sl = design.group_slice(i)
-            R_i = self._centerers[i] @ Y[sl]
-            m = design.group_sizes[i] - self._ks[i]
-            S_i = (R_i.T @ R_i) / m
-            q_i = float(np.sum(np.sum(R_i * R_i, axis=1) ** 2)) / m
-            a2[i] = a2_hat(S_i, q_i, self._taus[i], design.group_sizes[i], self._ks[i])
-            s_list.append(S_i)
-        b = np.zeros((g, g))
-        for i in range(g):
-            for j in range(i + 1, g):
-                b[i, j] = b[j, i] = float(np.sum(s_list[i] * s_list[j]))
-        coef = b.copy()
-        np.fill_diagonal(coef, a2)
-        sigma0_sq = 2.0 * float(np.sum(self._omega_sq_blocks * coef))
-        return t, a2, b, sigma0_sq
+        P = self.projections.compressor
+        t = statistic_t(X, P, self.omega)
+        est = variance_from_data(X, design, P, self._tau, self._blocks)
+        return t, est.a2, est.b, est.sigma0_sq
 
     def test_matrix(self, X: np.ndarray) -> TestReport:
         """Run the standardized test on one N x p data matrix."""
@@ -274,8 +229,8 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     for i in range(g):
         for j in range(i + 1, g):
             b[i, j] = b[j, i] = float(np.sum(psis[i] * psis[j]))
-    v = v_hat(a, b, design.group_sizes)
-    sigma0_sq = sigma0_hat(proj.omega, v)
+    sigma0_sq = sigma0_from_blocks(
+        omega_sq_block_sums(proj.omega, design.group_sizes), a, b)
     M = mean_weight_rows(model.theta, design, proj)
     extra = 0.0
     for i in range(g):
@@ -327,11 +282,7 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
     rho_n = float(np.max(vals) / np.min(nz))
 
     offs = np.concatenate(([0], np.cumsum(sizes)))
-    osq = omega * omega
-    block = np.array(
-        [[float(np.sum(osq[offs[a]:offs[a + 1], offs[b]:offs[b + 1]]))
-          for b in range(g)] for a in range(g)])
-    active = block > 0.0
+    active = omega_sq_block_sums(omega, sizes) > 0.0
     psis = [np.asarray(Psi, dtype=float) for Psi in psis]
     if len(psis) != g:
         raise ValueError(f"{len(psis)} compressed covariances for {g} groups")

@@ -167,7 +167,7 @@ class TestOmega:
 
     def test_inconsistent_weights_rejected(self):
         pi_h = np.eye(3) * 0.5
-        with pytest.raises(RuntimeError):
+        with pytest.raises(NoBalancingSolution):
             build_omega(pi_h, np.zeros((3, 3)), np.zeros(3))
 
 
