@@ -235,14 +235,20 @@ def cmd_diagnose(args) -> int:
                  float(np.max(np.abs(np.diag(proj.omega)))) == 0.0)
 
     draw = replication_sampler(design, model, dists)
-    worst = 0.0
+    worst = worst_factored = 0.0
     for j in range(args.draws):
         X = draw(seed, j)
-        fast = statistic_t(X, proj.compressor, proj.omega)
+        dense = statistic_t(X, proj.compressor, proj.omega)
+        factored = statistic_t(X, proj.compressor, proj.factors)
         slow = t_by_decomposition(X, design)
-        worst = max(worst, abs(fast - slow) / max(1.0, abs(slow)))
+        worst = max(worst, abs(dense - slow) / max(1.0, abs(slow)))
+        worst_factored = max(worst_factored,
+                             abs(factored - dense) / max(1.0, abs(dense)))
     ok &= _check(f"statistic identity on {args.draws} draws", worst <= 1e-8,
                  f"worst relative gap {worst:.3e}")
+    ok &= _check(f"factored statistic on {args.draws} draws",
+                 worst_factored <= 1e-10,
+                 f"worst relative gap to the dense form {worst_factored:.3e}")
     return 0 if ok else 2
 
 

@@ -6,7 +6,8 @@ hypothesis pair (L, R).  The products are the hat projection of A, the
 hypothesis projection, the row compressor mapping observations into the
 hypothesis-relevant within-space, the balancing weights that cancel the
 diagonal bias of the naive quadratic form, and the zero-diagonal weight
-matrix Omega that makes the trace statistic unbiased.
+matrix Omega that makes the trace statistic unbiased, both dense and in the
+factored form the statistic is evaluated through.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DesignError, NoBalancingSolution
+from .errors import DegenerateGroupError, DesignError, NoBalancingSolution
 
 # Numerical policy: ranks from singular values with a relative cutoff,
 # positive-definiteness gates on relative eigenvalue floors, and a relative
@@ -54,6 +55,21 @@ def range_basis(M) -> np.ndarray:
     U, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)),
                             full_matrices=False)
     return U[:, :_rank(s)]
+
+
+def residual_basis(A_i, *, group: int = 0) -> np.ndarray:
+    """range_basis of a group's design block, for a group that has residuals.
+
+    Raises DegenerateGroupError when the block has as many independent
+    columns as rows (N_i <= k_i): the group then has no residual, and its
+    rows leave the balancing system without a solution.
+    """
+    U = range_basis(A_i)
+    n_i, k_i = U.shape
+    if n_i <= k_i:
+        raise DegenerateGroupError(
+            group, f"needs N_i > k_i (N_i={n_i}, k_i={k_i})")
+    return U
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,10 +161,38 @@ class DesignSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class OmegaFactors:
+    """The zero-diagonal omega in factored form,
+
+        omega = W'W - C diag(d) C - diag(e),   C = I - QQ',
+
+    with W the ell x N root of pi_h, Q the N x k orthonormal basis of A, d
+    the balancing weights and e = h - (C o C) d the balancing residual, so
+    that the diagonal of omega is exactly zero.  No N x N matrix is formed.
+    """
+
+    w: np.ndarray
+    q: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+
+    def quadratic_form(self, Y) -> float:
+        """tr(Y' omega Y) = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2
+        - sum_i e_i ||y_i||^2, in O(N (ell + k) r) for an N x r matrix Y."""
+        WY = self.w @ Y
+        CY = self.q @ (self.q.T @ Y)
+        np.subtract(Y, CY, out=CY)
+        return float(np.einsum("ij,ij->", WY, WY)
+                     - self.d @ np.einsum("ij,ij->i", CY, CY)
+                     - self.e @ np.einsum("ij,ij->i", Y, Y))
+
+
+@dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Design geometry consumed by the statistic: the hat projection pi_a,
     the hypothesis projection pi_h with its diagonal, the row compressor,
-    the balancing weights d, and the zero-diagonal weight matrix omega."""
+    the balancing weights d, the zero-diagonal weight matrix omega, and
+    omega's factors, which the statistic is evaluated through."""
 
     pi_a: np.ndarray
     pi_h: np.ndarray
@@ -157,6 +201,7 @@ class ProjectionSet:
     d: np.ndarray
     omega: np.ndarray
     balancing_residual: float
+    factors: OmegaFactors
 
 
 def projector(M) -> np.ndarray:
@@ -178,11 +223,9 @@ def projector(M) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def hypothesis_projector(design: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Projection onto the span of A(A'A)^{-1}L', with its diagonal.
-
-    The returned matrix has rank equal to the number of rows of L.
-    """
+def _hypothesis_root(design: DesignSpec) -> np.ndarray:
+    """The ell x N matrix W = c^{-1} L (A'A)^{-1} A' with W'W the hypothesis
+    projection, c the Cholesky factor of L(A'A)^{-1}L'."""
     A, L = design.A, design.L
     G = A.T @ A
     try:
@@ -195,8 +238,15 @@ def hypothesis_projector(design: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
         c = np.linalg.cholesky(GL)
     except np.linalg.LinAlgError as exc:
         raise DesignError("L(A'A)^{-1}L' is numerically singular") from exc
-    F = A @ GinvLT                       # N x ell
-    W = np.linalg.solve(c, F.T)          # pi_h = W'W with W = c^{-1} F'
+    return np.linalg.solve(c, (A @ GinvLT).T)
+
+
+def hypothesis_projector(design: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Projection onto the span of A(A'A)^{-1}L', with its diagonal.
+
+    The returned matrix has rank equal to the number of rows of L.
+    """
+    W = _hypothesis_root(design)
     pi_h = W.T @ W
     pi_h = (pi_h + pi_h.T) / 2.0
     return pi_h, np.diag(pi_h).copy()
@@ -224,9 +274,9 @@ def row_compressor(design: DesignSpec) -> np.ndarray:
     return inv_sqrt @ (GinvRT.T @ B.T)
 
 
-def _balancing_weights(pi_a: np.ndarray, h_diag) -> tuple[np.ndarray, float]:
+def _balancing_weights(pi_a: np.ndarray, h_diag) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimum-norm solve with the relative residual gate; returns the
-    weights and the relative residual."""
+    weights d, the residual vector h - (C o C) d and its relative norm."""
     n = pi_a.shape[0]
     C = np.eye(n) - pi_a
     C = C * C
@@ -235,13 +285,14 @@ def _balancing_weights(pi_a: np.ndarray, h_diag) -> tuple[np.ndarray, float]:
         raise DesignError(f"h_diag has length {h.shape[0]}, expected {n}")
     d, *_ = np.linalg.lstsq(C, h, rcond=None)
     scale = float(np.linalg.norm(h))
-    resid = float(np.linalg.norm(C @ d - h))
+    e = h - C @ d
+    resid = float(np.linalg.norm(e))
     rel = resid / scale if scale > 0.0 else resid
     if rel > BALANCE_RTOL:
         raise NoBalancingSolution(
             f"balancing system has no solution: relative residual {rel:.3e} "
             f"exceeds {BALANCE_RTOL:g}")
-    return d, rel
+    return d, e, rel
 
 
 def solve_balancing_weights(pi_a, h_diag) -> np.ndarray:
@@ -280,17 +331,22 @@ def build_omega(pi_h, pi_a, d) -> np.ndarray:
 def build_projections(design: DesignSpec) -> ProjectionSet:
     """Assemble every design-derived matrix the test needs.
 
-    Raises NoBalancingSolution when the design does not admit balancing
-    weights within tolerance.
+    Raises DegenerateGroupError, naming the group, when a group has no
+    residual, and otherwise NoBalancingSolution when the design does not
+    admit balancing weights within tolerance.
     """
+    for i in range(design.g):
+        residual_basis(design.A_block(i), group=i)
     pi_a = projector(design.A)
     pi_h, h_diag = hypothesis_projector(design)
     compressor = row_compressor(design)
-    d, rel = _balancing_weights(pi_a, h_diag)
+    d, e, rel = _balancing_weights(pi_a, h_diag)
     omega = build_omega(pi_h, pi_a, d)
+    factors = OmegaFactors(w=_hypothesis_root(design), q=range_basis(design.A),
+                           d=d, e=e)
     return ProjectionSet(pi_a=pi_a, pi_h=pi_h, h_diag=h_diag,
                          compressor=compressor, d=d, omega=omega,
-                         balancing_residual=rel)
+                         balancing_residual=rel, factors=factors)
 
 
 def omega_sq_block_sums(omega, group_sizes) -> np.ndarray:

@@ -24,7 +24,7 @@ from .design import (
     numerical_rank,
     omega_sq_block_sums,
     projector,
-    range_basis,
+    residual_basis,
 )
 from .errors import ConfigError, DegenerateGroupError, DesignError, EstimatorUndefinedError
 
@@ -131,12 +131,9 @@ def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0):
     if A_i.shape[0] != n_i:
         raise DesignError(
             f"group {group}: A block has {A_i.shape[0]} rows but data has {n_i}")
-    U = range_basis(A_i)
+    U = residual_basis(A_i, group=group)
     k_i = U.shape[1]
     m = n_i - k_i
-    if m < 1:
-        raise DegenerateGroupError(
-            group, f"needs N_i > k_i (N_i={n_i}, k_i={k_i})")
     Y = compress(X_i, compressor)
     # In place: this runs per Monte Carlo replication, where every fresh
     # n_i x r or r x r temporary costs page faults.

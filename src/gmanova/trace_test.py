@@ -1,14 +1,17 @@
 """The bias-corrected trace statistic and its standardized test.
 
-statistic_t evaluates T = tr(P X' Omega X P') through the compressed
-N x r matrix X P', never forming an N x N times p product.  run_test wires
-the full pipeline (projections, per-group scatter, variance estimate,
-decision) for a single dataset, while TraceTestEngine precomputes every
-design-dependent quantity so Monte Carlo drivers pay only the data-dependent
-cost per replication.  The module also provides the population functionals
-(the hypothesis distance q, the exact variance decomposition, the asymptotic
-power curve) and computable diagnostics for the regularity conditions the
-normal approximation relies on.
+statistic_t evaluates T = tr(P X' Omega X P') on the compressed N x r
+matrix Y = X P' through Omega's factors (Omega = W'W - C diag(d) C -
+diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
+sum_i e_i ||y_i||^2, so no N x N matrix is read; the dense N x N Omega
+stays as the reference form.  run_test wires the full pipeline
+(projections, per-group scatter, variance estimate, decision) for a single
+dataset, while TraceTestEngine precomputes every design-dependent quantity
+so Monte Carlo drivers pay only the data-dependent cost per replication.
+The module also provides the population functionals (the hypothesis
+distance q, the exact variance decomposition, the asymptotic power curve)
+and computable diagnostics for the regularity conditions the normal
+approximation relies on.
 """
 
 from __future__ import annotations
@@ -20,7 +23,13 @@ from math import sqrt
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .design import DesignSpec, ProjectionSet, build_projections, omega_sq_block_sums
+from .design import (
+    DesignSpec,
+    OmegaFactors,
+    ProjectionSet,
+    build_projections,
+    omega_sq_block_sums,
+)
 from .errors import ConfigError
 from .estimators import (
     GroupedSample,
@@ -92,8 +101,14 @@ class MeanModel:
 
 def statistic_t(X, compressor, omega) -> float:
     """The bias-corrected trace statistic T = tr(P X' Omega X P') for the
-    design's row compressor P (a square one is skipped, see compress)."""
+    design's row compressor P (a square one is skipped, see compress).
+
+    omega is either the OmegaFactors of the design, which form no N x N
+    matrix, or the dense N x N weight matrix, the reference form.
+    """
     Y = compress(X, compressor)
+    if isinstance(omega, OmegaFactors):
+        return omega.quadratic_form(Y)
     return float(np.sum((np.asarray(omega, dtype=float) @ Y) * Y))
 
 
@@ -125,8 +140,12 @@ class TraceTestEngine:
         self.design = design
         self.alpha = _check_alpha(alpha)
         self.projections = build_projections(design)
-        self.omega = self.projections.omega
         self._tau, self._blocks = variance_design(design, self.omega)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """The dense N x N weight matrix (no replication reads it)."""
+        return self.projections.omega
 
     def statistics(self, X: np.ndarray):
         """Raw ingredients (t, a2, b, sigma0_sq) for one data matrix."""
@@ -135,7 +154,7 @@ class TraceTestEngine:
             raise ConfigError(
                 f"data shape {X.shape} does not match design ({design.N}, {design.p})")
         P = self.projections.compressor
-        t = statistic_t(X, P, self.omega)
+        t = statistic_t(X, P, self.projections.factors)
         est = variance_from_data(X, design, P, self._tau, self._blocks)
         return t, est.a2, est.b, est.sigma0_sq
 
@@ -161,7 +180,7 @@ def run_test(sample: GroupedSample, design: DesignSpec, alpha: float = 0.05,
     alpha = _check_alpha(alpha)
     proj = build_projections(design)
     est = estimate_variance(sample, design, proj)
-    t = statistic_t(sample.X, proj.compressor, proj.omega)
+    t = statistic_t(sample.X, proj.compressor, proj.factors)
     z, p_value, reject, degenerate = _decide(t, est.sigma0_sq, alpha)
     diag = None
     if diagnostics:
@@ -195,6 +214,13 @@ def mean_weight_rows(theta, design: DesignSpec,
     return (proj.omega @ W) @ P
 
 
+def _compressed_covariance(S, compressor) -> np.ndarray:
+    """(P S P')' for the row compressor P, through compress: S' itself for a
+    square (orthogonal) P, under which every trace of the test is
+    invariant."""
+    return compress(compress(S, compressor).T, compressor)
+
+
 def _check_covariances(model: MeanModel, design: DesignSpec) -> None:
     if len(model.sigmas) != design.g:
         raise ValueError(
@@ -218,11 +244,10 @@ def sigma_full(model: MeanModel, design: DesignSpec,
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
     proj = projections if projections is not None else build_projections(design)
-    P = proj.compressor
     g = design.g
     psis = []
     for S in model.sigmas:
-        Psi = P @ S @ P.T
+        Psi = _compressed_covariance(S, proj.compressor)
         psis.append((Psi + Psi.T) / 2.0)
     a = np.array([float(np.sum(Psi * Psi)) for Psi in psis])
     b = np.zeros((g, g))
@@ -329,7 +354,7 @@ def model_diagnostics(model: MeanModel, design: DesignSpec,
     _check_covariances(model, design)
     proj = projections if projections is not None else build_projections(design)
     P = proj.compressor
-    psis = [P @ S @ P.T for S in model.sigmas]
+    psis = [_compressed_covariance(S, P) for S in model.sigmas]
     m_rows = mean_weight_rows(model.theta, design, proj)
     pre = design.A @ model.theta @ design.B.T @ P.T
     m_scale = float(np.max(np.abs(pre), initial=0.0))

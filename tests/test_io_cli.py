@@ -192,6 +192,12 @@ class TestCli:
         assert main(["test", "--data", str(data), "--scenario", "one-way"]) == 2
         assert "group 0" in capsys.readouterr().err
 
+    def test_one_row_group_named_in_error(self, tmp_path, capsys):
+        design = one_way_manova((1, 6), 3).design
+        data, _ = _dataset_csv(tmp_path, design)
+        assert main(["test", "--data", str(data), "--scenario", "one-way"]) == 2
+        assert "group 0" in capsys.readouterr().err
+
     def test_dimension_mismatch_names_both(self, tmp_path, capsys):
         emit = tmp_path / "design"
         main(["scenario", "--name", "one-way", "--groups", "5,5", "--p", "7",
