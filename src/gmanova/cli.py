@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignSpec, build_projections
+from .design import DesignSpec, build_projections, row_classes
 from .errors import ConfigError, DesignError, GroupError, NoBalancingSolution
 from .io import (
     load_config,
@@ -159,6 +159,22 @@ def build_experiment(config: dict, base: Path):
     return design, model, dists, config.get("alpha", 0.05), config["reps"], config["seed"]
 
 
+def _check_row_alignment(sample, design: DesignSpec, data) -> None:
+    """Reject a dataset whose rows were regrouped by label when the design's
+    A differs between rows of one group: which row of A a data row belongs
+    to would then depend on the file's row order."""
+    if np.array_equal(sample.source_rows, np.arange(sample.N)):
+        return
+    per_group = np.bincount(row_classes(design).group, minlength=design.g)
+    varying = np.flatnonzero(per_group > 1)
+    if varying.size:
+        i = int(varying[0])
+        raise ConfigError(
+            f"{data}: rows were regrouped by label, but design group {i} "
+            f"(label {sample.labels[i]!r}) has {per_group[i]} distinct rows of A; "
+            "list the rows of each group together, in the design's order")
+
+
 def cmd_test(args) -> int:
     sample = load_dataset(args.data, header=args.header)
     if args.design is not None:
@@ -167,6 +183,7 @@ def cmd_test(args) -> int:
             raise ConfigError(
                 f"data has group sizes {sample.group_sizes} but the design "
                 f"manifest declares {design.group_sizes}")
+        _check_row_alignment(sample, design, args.data)
     else:
         scenario = _build_scenario(args.scenario, sample.group_sizes, sample.p,
                                    degree=args.degree,
@@ -225,12 +242,16 @@ def cmd_diagnose(args) -> int:
     gram = proj.compressor @ proj.compressor.T
     ok &= _check("compressor gram projection",
                  float(np.max(np.abs(gram - np.eye(design.r)))) <= 1e-10)
+    print(f"row classes: {proj.weights.classes.first.size} of {design.N} rows")
     C = np.eye(design.N) - proj.pi_a
     d_ref, resid = dense_min_norm_solve(C * C, proj.h_diag)
     scale = float(np.linalg.norm(proj.h_diag))
     ok &= _check("balancing residual",
                  resid <= 1e-8 * max(scale, 1e-300),
                  f"relative residual {resid / scale:.3e}")
+    gap = float(np.max(np.abs(proj.d - d_ref))) / max(float(np.max(np.abs(d_ref))), 1e-300)
+    ok &= _check("class balancing weights vs dense solve", gap <= 1e-10,
+                 f"relative gap {gap:.3e}")
     ok &= _check("omega diagonal is zero",
                  float(np.max(np.abs(np.diag(proj.omega)))) == 0.0)
 

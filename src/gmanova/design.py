@@ -6,14 +6,19 @@ hypothesis pair (L, R).  The products are the hat projection of A, the
 hypothesis projection, the row compressor mapping observations into the
 hypothesis-relevant within-space, the balancing weights that cancel the
 diagonal bias of the naive quadratic form, and the zero-diagonal weight
-matrix Omega that makes the trace statistic unbiased, both dense and in the
-factored form the statistic is evaluated through.
+matrix Omega that makes the trace statistic unbiased.  Rows of one group
+with equal rows of A form a row class; the projections, the weights and
+Omega are constant on classes, so they are built between class
+representatives, and Omega is also kept in the factored form the
+statistic is evaluated through.  Dense N x N matrices are expanded only
+on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import sqrt
 
 import numpy as np
 
@@ -161,6 +166,65 @@ class DesignSpec:
 
 
 @dataclass(frozen=True, eq=False)
+class RowClasses:
+    """The N rows partitioned into row classes: rows of one group whose rows
+    of A are bitwise equal.  Every design-derived weight is constant on a
+    class, so the design is built from one representative row per class.
+
+    index is the class of each row, first the representative (first) row of
+    each class, sizes the class sizes n and group the group of each class.
+    Classes are numbered in row order, so group is nondecreasing.
+    """
+
+    index: np.ndarray
+    first: np.ndarray
+    sizes: np.ndarray
+    group: np.ndarray
+
+
+def row_classes(design: DesignSpec) -> RowClasses:
+    """The row classes of a design, numbered by first appearance."""
+    A = np.ascontiguousarray(design.A)
+    keys = A.view(np.dtype((np.void, A.itemsize * A.shape[1]))).ravel()
+    index = np.empty(design.N, dtype=np.intp)
+    first, counts = [], []
+    for i in range(design.g):
+        sl = design.group_slice(i)
+        _, pos, inv = np.unique(keys[sl], return_index=True, return_inverse=True)
+        order = np.argsort(pos)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        index[sl] = sum(counts) + rank[inv]
+        first.append(sl.start + pos[order])
+        counts.append(order.size)
+    return RowClasses(index=index, first=np.concatenate(first),
+                      sizes=np.bincount(index),
+                      group=np.repeat(np.arange(design.g), counts))
+
+
+@dataclass(frozen=True, eq=False)
+class ClassWeights:
+    """The design geometry between row classes: u x u blocks of pi_a and
+    pi_h between class representatives, the class values of the balancing
+    weights d and of the balancing residual e, and omega, whose entry
+    (c, c') is the weight between distinct rows of classes c and c' (0 on
+    the diagonal for a one-row class, which has no such pair)."""
+
+    classes: RowClasses
+    pi_a: np.ndarray
+    pi_h: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    omega: np.ndarray
+
+    def expand(self, M: np.ndarray) -> np.ndarray:
+        """The N x N matrix whose entry (i, j) is M at the classes of rows
+        i and j."""
+        idx = self.classes.index
+        return M[np.ix_(idx, idx)]
+
+
+@dataclass(frozen=True, eq=False)
 class OmegaFactors:
     """The zero-diagonal omega in factored form,
 
@@ -189,19 +253,42 @@ class OmegaFactors:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
-    """Design geometry consumed by the statistic: the hat projection pi_a,
-    the hypothesis projection pi_h with its diagonal, the row compressor,
-    the balancing weights d, the zero-diagonal weight matrix omega, and
-    omega's factors, which the statistic is evaluated through."""
+    """Design geometry consumed by the test: the diagonal of the hypothesis
+    projection, the row compressor, the balancing weights d (one per row),
+    the relative balancing residual, omega's factors, which the statistic
+    is evaluated through, and the class weights, which the variance and
+    diagnostics read.
 
-    pi_a: np.ndarray
-    pi_h: np.ndarray
+    The dense N x N hat projection pi_a, hypothesis projection pi_h and
+    weight matrix omega are expanded from the class weights on first read,
+    in O(N^2), and cached read-only; nothing in the test itself reads them.
+    """
+
     h_diag: np.ndarray
     compressor: np.ndarray
     d: np.ndarray
-    omega: np.ndarray
     balancing_residual: float
     factors: OmegaFactors
+    weights: ClassWeights
+
+    @cached_property
+    def pi_a(self) -> np.ndarray:
+        return _read_only(self.weights.expand(self.weights.pi_a))
+
+    @cached_property
+    def pi_h(self) -> np.ndarray:
+        return _read_only(self.weights.expand(self.weights.pi_h))
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        omega = self.weights.expand(self.weights.omega)
+        np.fill_diagonal(omega, 0.0)
+        return _read_only(omega)
+
+
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.flags.writeable = False
+    return M
 
 
 def projector(M) -> np.ndarray:
@@ -241,12 +328,15 @@ def _hypothesis_root(design: DesignSpec) -> np.ndarray:
     return np.linalg.solve(c, (A @ GinvLT).T)
 
 
-def hypothesis_projector(design: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Projection onto the span of A(A'A)^{-1}L', with its diagonal.
+def hypothesis_projector(design: DesignSpec, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """Projection onto the span of A(A'A)^{-1}L', with its diagonal; with
+    rows, only its block between those rows.
 
-    The returned matrix has rank equal to the number of rows of L.
+    The full matrix has rank equal to the number of rows of L.
     """
     W = _hypothesis_root(design)
+    if rows is not None:
+        W = W[:, rows]
     pi_h = W.T @ W
     pi_h = (pi_h + pi_h.T) / 2.0
     return pi_h, np.diag(pi_h).copy()
@@ -274,19 +364,39 @@ def row_compressor(design: DesignSpec) -> np.ndarray:
     return inv_sqrt @ (GinvRT.T @ B.T)
 
 
-def _balancing_weights(pi_a: np.ndarray, h_diag) -> tuple[np.ndarray, np.ndarray, float]:
-    """Minimum-norm solve with the relative residual gate; returns the
-    weights d, the residual vector h - (C o C) d and its relative norm."""
-    n = pi_a.shape[0]
-    C = np.eye(n) - pi_a
-    C = C * C
-    h = np.asarray(h_diag, dtype=float).ravel()
-    if h.shape[0] != n:
-        raise DesignError(f"h_diag has length {h.shape[0]}, expected {n}")
-    d, *_ = np.linalg.lstsq(C, h, rcond=None)
-    scale = float(np.linalg.norm(h))
-    e = h - C @ d
-    resid = float(np.linalg.norm(e))
+def _balancing_weights(S: np.ndarray, h: np.ndarray,
+                       n: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Minimum-norm least-squares solve of [(I - pi_a) o (I - pi_a)] d = h
+    for class-constant d, with the relative residual gate.
+
+    S is the u x u block of pi_a between class representatives, h the class
+    values of the right side and n the class sizes (all ones for single
+    rows).  With V = E diag(n)^{-1/2} for the N x u class indicator E, the
+    N x N system is V R V' on class-constant vectors, with the symmetric
+    R = diag(1 - 2 s_cc) + diag(sqrt n) (S o S) diag(sqrt n), and
+    diag(1 - 2 s_cc) on their complement (the vectors summing to zero
+    within each class).  The right side has no part in the complement, so
+    the minimum-norm solution is d = y / sqrt(n) with y that of
+    R y = sqrt(n) o h.  Eigenvalues are cut where lstsq would cut the
+    singular values of the N x N system.
+
+    Returns the class weights d, the class residuals
+    e = h - ((I - pi_a) o (I - pi_a)) d and the relative residual norm.
+    """
+    root = np.sqrt(n)
+    S2 = S * S
+    centre = 1.0 - 2.0 * np.diag(S)
+    R = S2 * root[:, None] * root[None, :]
+    R[np.diag_indices_from(R)] += centre
+    w, V = np.linalg.eigh(R)
+    top = max(np.max(np.abs(w), initial=0.0),
+              np.max(np.abs(centre[n > 1]), initial=0.0))
+    keep = np.abs(w) > n.sum() * np.finfo(float).eps * top
+    y = V[:, keep] @ ((V[:, keep].T @ (root * h)) / w[keep])
+    d = y / root
+    e = h - (centre * d + S2 @ (n * d))
+    scale = sqrt(float(n @ (h * h)))
+    resid = sqrt(float(n @ (e * e)))
     rel = resid / scale if scale > 0.0 else resid
     if rel > BALANCE_RTOL:
         raise NoBalancingSolution(
@@ -302,12 +412,22 @@ def solve_balancing_weights(pi_a, h_diag) -> np.ndarray:
     Raises NoBalancingSolution when the relative residual exceeds
     BALANCE_RTOL; the bias-corrected statistic is undefined for such designs.
     """
-    return _balancing_weights(_as_matrix(pi_a, "pi_a"), h_diag)[0]
+    pi_a = _as_matrix(pi_a, "pi_a")
+    h = np.asarray(h_diag, dtype=float).ravel()
+    if h.shape[0] != pi_a.shape[0]:
+        raise DesignError(f"h_diag has length {h.shape[0]}, expected {pi_a.shape[0]}")
+    return _balancing_weights(pi_a, h, np.ones(h.shape[0]))[0]
 
 
-def build_omega(pi_h, pi_a, d) -> np.ndarray:
+def build_omega(pi_h, pi_a, d, sizes=None) -> np.ndarray:
     """Weight matrix pi_h - (I - pi_a) diag(d) (I - pi_a), symmetric with an
     exactly zero diagonal.
+
+    With sizes, the arguments are class blocks (pi_h and pi_a between class
+    representatives, d per class, n = sizes) and the result is the u x u
+    matrix of the weights between distinct rows of two classes,
+    pi_h + pi_a o (d 1' + 1 d') - pi_a diag(n o d) pi_a, whose diagonal
+    holds the weight within a class (0 for a one-row class).
 
     A diagonal residue above OMEGA_DIAG_TOL means the supplied weights do not
     solve the balancing system and raises NoBalancingSolution.
@@ -315,21 +435,23 @@ def build_omega(pi_h, pi_a, d) -> np.ndarray:
     pi_h = _as_matrix(pi_h, "pi_h")
     pi_a = _as_matrix(pi_a, "pi_a")
     d = np.asarray(d, dtype=float).ravel()
-    n = pi_a.shape[0]
-    C = np.eye(n) - pi_a
-    omega = pi_h - (C * d) @ C
+    n = np.ones(d.shape[0]) if sizes is None else np.asarray(sizes, dtype=float)
+    omega = pi_h + pi_a * (d[:, None] + d[None, :]) - (pi_a * (n * d)) @ pi_a
     omega = (omega + omega.T) / 2.0
-    worst = float(np.max(np.abs(np.diag(omega)))) if n else 0.0
+    within = np.diag(omega).copy()
+    worst = float(np.max(np.abs(within - d), initial=0.0))
     if worst > OMEGA_DIAG_TOL:
         raise NoBalancingSolution(
             f"omega diagonal residue {worst:.3e} exceeds {OMEGA_DIAG_TOL:g}; "
             "balancing weights are inconsistent with the design")
-    np.fill_diagonal(omega, 0.0)
+    omega[np.diag_indices_from(omega)] = np.where(n > 1, within, 0.0)
     return omega
 
 
 def build_projections(design: DesignSpec) -> ProjectionSet:
-    """Assemble every design-derived matrix the test needs.
+    """Assemble every design-derived quantity the test needs, from one
+    representative row per row class: O(N k^2 + u^3) for u classes, and no
+    N x N array unless every row is its own class.
 
     Raises DegenerateGroupError, naming the group, when a group has no
     residual, and otherwise NoBalancingSolution when the design does not
@@ -337,21 +459,57 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     """
     for i in range(design.g):
         residual_basis(design.A_block(i), group=i)
-    pi_a = projector(design.A)
-    pi_h, h_diag = hypothesis_projector(design)
+    classes = row_classes(design)
+    n = classes.sizes.astype(float)
+    q = range_basis(design.A)
+    q_u = q[classes.first]
+    pi_a = q_u @ q_u.T
+    pi_a = (pi_a + pi_a.T) / 2.0
+    pi_h, h = hypothesis_projector(design, classes.first)
     compressor = row_compressor(design)
-    d, e, rel = _balancing_weights(pi_a, h_diag)
-    omega = build_omega(pi_h, pi_a, d)
-    factors = OmegaFactors(w=_hypothesis_root(design), q=range_basis(design.A),
-                           d=d, e=e)
-    return ProjectionSet(pi_a=pi_a, pi_h=pi_h, h_diag=h_diag,
-                         compressor=compressor, d=d, omega=omega,
-                         balancing_residual=rel, factors=factors)
+    d, e, rel = _balancing_weights(pi_a, h, n)
+    omega = build_omega(pi_h, pi_a, d, n)
+    weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, d=d, e=e,
+                           omega=omega)
+    idx = classes.index
+    factors = OmegaFactors(w=_hypothesis_root(design), q=q, d=d[idx], e=e[idx])
+    return ProjectionSet(h_diag=h[idx], compressor=compressor, d=factors.d,
+                         balancing_residual=rel, factors=factors,
+                         weights=weights)
+
+
+def class_pairs(omega, group_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega between classes, class sizes, class groups) of ClassWeights,
+    or of a dense N x N omega taken as N one-row classes."""
+    if isinstance(omega, ClassWeights):
+        c = omega.classes
+        return omega.omega, c.sizes.astype(float), c.group
+    omega = np.asarray(omega, dtype=float)
+    sizes = np.asarray(group_sizes, dtype=int)
+    return omega, np.ones(omega.shape[0]), np.repeat(np.arange(sizes.size), sizes)
+
+
+def pair_counts(n) -> np.ndarray:
+    """u x u numbers of ordered pairs of distinct rows between classes of
+    sizes n: n_c n_c' off the diagonal, n_c (n_c - 1) on it."""
+    n = np.asarray(n, dtype=float)
+    counts = np.outer(n, n)
+    counts[np.diag_indices_from(counts)] -= n
+    return counts
 
 
 def omega_sq_block_sums(omega, group_sizes) -> np.ndarray:
-    """g x g sums of omega o omega over the blocks of the group partition;
-    every variance functional of the statistic contracts against these."""
-    omega = np.asarray(omega, dtype=float)
-    offs = np.concatenate(([0], np.cumsum(group_sizes)[:-1]))
-    return np.add.reduceat(np.add.reduceat(omega * omega, offs, axis=0), offs, axis=1)
+    """g x g sums of omega_ij^2 over pairs of distinct rows in each pair of
+    groups, from ClassWeights or a dense N x N omega; every variance
+    functional of the statistic contracts against these."""
+    w, n, group = class_pairs(omega, group_sizes)
+    offs = [sl.start for sl in group_spans(group, len(group_sizes))]
+    X = pair_counts(n) * (w * w)
+    return np.add.reduceat(np.add.reduceat(X, offs, axis=0), offs, axis=1)
+
+
+def group_spans(group, g: int) -> list[slice]:
+    """The classes of each of the g groups as slices, for the nondecreasing
+    class groups of RowClasses or class_pairs."""
+    bounds = np.searchsorted(group, np.arange(g + 1))
+    return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]

@@ -31,11 +31,16 @@ from .errors import ConfigError, DegenerateGroupError, DesignError, EstimatorUnd
 
 @dataclass(frozen=True, eq=False)
 class GroupedSample:
-    """An N x p observation matrix with rows grouped contiguously."""
+    """An N x p observation matrix with rows grouped contiguously.
+
+    source_rows, when the rows were read from a file, gives the 0-based
+    data row of the file that each row of X came from.
+    """
 
     X: np.ndarray
     group_sizes: tuple[int, ...]
     labels: tuple[str, ...] | None = None
+    source_rows: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -57,6 +62,12 @@ class GroupedSample:
                 raise ConfigError(
                     f"{len(labels)} labels for {len(sizes)} groups")
             object.__setattr__(self, "labels", labels)
+        if self.source_rows is not None:
+            rows = np.asarray(self.source_rows, dtype=np.intp)
+            if rows.shape != (X.shape[0],):
+                raise ConfigError(
+                    f"{rows.size} source rows for {X.shape[0]} data rows")
+            object.__setattr__(self, "source_rows", rows)
 
     @property
     def N(self) -> int:
@@ -237,7 +248,8 @@ def sigma0_from_blocks(blocks, a2, b) -> float:
 
 def variance_design(design: DesignSpec, omega) -> tuple[np.ndarray, np.ndarray]:
     """Design step: the g x 3 tau coefficients of the groups and the g x g
-    omega o omega block sums."""
+    omega o omega block sums, from the ClassWeights of the design (or a
+    dense N x N omega)."""
     tau = np.empty((design.g, 3))
     for i in range(design.g):
         A_i = design.A_block(i)
@@ -282,5 +294,5 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec,
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
     proj = projections if projections is not None else build_projections(design)
-    tau, blocks = variance_design(design, proj.omega)
+    tau, blocks = variance_design(design, proj.weights)
     return variance_from_data(sample.X, design, proj.compressor, tau, blocks)

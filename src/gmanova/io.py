@@ -34,8 +34,9 @@ def load_dataset(path, layout: str = "grouped", header: bool = False) -> Grouped
     remaining p columns are numeric responses.
 
     Rows need not arrive sorted; they are reordered group-contiguously in
-    first-appearance label order.  Errors name the file, row, and column
-    (1-based data rows, counted after the optional header).
+    first-appearance label order, and the sample records the file row of
+    each.  Errors name the file, row, and column (1-based data rows,
+    counted after the optional header).
     """
     if layout != "grouped":
         raise ConfigError(f"unknown dataset layout {layout!r}; only 'grouped' is supported")
@@ -79,15 +80,17 @@ def load_dataset(path, layout: str = "grouped", header: bool = False) -> Grouped
         raise ConfigError(f"{path}: no data rows")
 
     order: list[str] = []
-    by_label: dict[str, list[list[float]]] = {}
-    for label, values in rows:
+    by_label: dict[str, list[int]] = {}
+    for index, (label, _) in enumerate(rows):
         if label not in by_label:
             order.append(label)
             by_label[label] = []
-        by_label[label].append(values)
-    X = np.array([v for label in order for v in by_label[label]])
+        by_label[label].append(index)
+    source = [i for label in order for i in by_label[label]]
+    X = np.array([rows[i][1] for i in source])
     sizes = tuple(len(by_label[label]) for label in order)
-    return GroupedSample(X=X, group_sizes=sizes, labels=tuple(order))
+    return GroupedSample(X=X, group_sizes=sizes, labels=tuple(order),
+                         source_rows=np.array(source))
 
 
 def _load_matrix(path: Path, name: str) -> np.ndarray:

@@ -3,8 +3,10 @@
 statistic_t evaluates T = tr(P X' Omega X P') on the compressed N x r
 matrix Y = X P' through Omega's factors (Omega = W'W - C diag(d) C -
 diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
-sum_i e_i ||y_i||^2, so no N x N matrix is read; the dense N x N Omega
-stays as the reference form.  run_test wires the full pipeline
+sum_i e_i ||y_i||^2, so no N x N matrix is read; it also takes the dense
+N x N Omega, the reference form.  The variance, the diagnostics and the
+exact variance decomposition read Omega between row classes (ClassWeights)
+and likewise accept the dense form.  run_test wires the full pipeline
 (projections, per-group scatter, variance estimate, decision) for a single
 dataset, while TraceTestEngine precomputes every design-dependent quantity
 so Monte Carlo drivers pay only the data-dependent cost per replication.
@@ -28,7 +30,10 @@ from .design import (
     OmegaFactors,
     ProjectionSet,
     build_projections,
+    class_pairs,
+    group_spans,
     omega_sq_block_sums,
+    pair_counts,
 )
 from .errors import ConfigError
 from .estimators import (
@@ -140,11 +145,12 @@ class TraceTestEngine:
         self.design = design
         self.alpha = _check_alpha(alpha)
         self.projections = build_projections(design)
-        self._tau, self._blocks = variance_design(design, self.omega)
+        self._tau, self._blocks = variance_design(design, self.projections.weights)
 
     @property
     def omega(self) -> np.ndarray:
-        """The dense N x N weight matrix (no replication reads it)."""
+        """The dense N x N weight matrix, expanded from the class weights on
+        first read; neither set-up nor any replication reads it."""
         return self.projections.omega
 
     def statistics(self, X: np.ndarray):
@@ -184,7 +190,7 @@ def run_test(sample: GroupedSample, design: DesignSpec, alpha: float = 0.05,
     z, p_value, reject, degenerate = _decide(t, est.sigma0_sq, alpha)
     diag = None
     if diagnostics:
-        diag = assumption_diagnostics(est.s, proj.omega, design.group_sizes,
+        diag = assumption_diagnostics(est.s, proj.weights, design.group_sizes,
                                       heuristic=True)
     return TestReport(t_stat=t, sigma0_sq_hat=est.sigma0_sq, z=z,
                       p_value=p_value, alpha=alpha, reject=reject,
@@ -204,14 +210,22 @@ def true_q(theta, design: DesignSpec) -> float:
     return float(np.trace(np.linalg.solve(GA, C) @ np.linalg.solve(GB, C.T)))
 
 
+def _class_means(theta, design: DesignSpec, proj: ProjectionSet) -> np.ndarray:
+    """u x r compressed mean rows A theta B' P' at the class representatives."""
+    A_u = design.A[proj.weights.classes.first]
+    return A_u @ np.asarray(theta, dtype=float) @ design.B.T @ proj.compressor.T
+
+
 def mean_weight_rows(theta, design: DesignSpec,
                      projections: ProjectionSet | None = None) -> np.ndarray:
-    """N x p matrix whose i-th row is the omega-weighted mean direction the
-    statistic's cross term projects the i-th error onto."""
+    """u x p matrix, one row per row class: the omega-weighted mean
+    direction the statistic's cross term projects the error of each row of
+    the class onto, sum_{j != i} omega_ij (A theta B' P')_j P."""
     proj = projections if projections is not None else build_projections(design)
-    P = proj.compressor
-    W = design.A @ np.asarray(theta, dtype=float) @ design.B.T @ P.T
-    return (proj.omega @ W) @ P
+    w = proj.weights
+    coef = w.omega * w.classes.sizes
+    coef[np.diag_indices_from(coef)] -= np.diag(w.omega)
+    return (coef @ _class_means(theta, design, proj)) @ proj.compressor
 
 
 def _compressed_covariance(S, compressor) -> np.ndarray:
@@ -255,13 +269,21 @@ def sigma_full(model: MeanModel, design: DesignSpec,
         for j in range(i + 1, g):
             b[i, j] = b[j, i] = float(np.sum(psis[i] * psis[j]))
     sigma0_sq = sigma0_from_blocks(
-        omega_sq_block_sums(proj.omega, design.group_sizes), a, b)
-    M = mean_weight_rows(model.theta, design, proj)
-    extra = 0.0
-    for i in range(g):
-        M_i = M[design.group_slice(i)]
-        extra += float(np.sum((M_i @ model.sigmas[i]) * M_i))
-    return sigma0_sq + 4.0 * extra, sigma0_sq
+        omega_sq_block_sums(proj.weights, design.group_sizes), a, b)
+    classes = proj.weights.classes
+    spread = _mean_term_spread(mean_weight_rows(model.theta, design, proj),
+                               model.sigmas, group_spans(classes.group, g))
+    return sigma0_sq + 4.0 * float(classes.sizes @ spread), sigma0_sq
+
+
+def _mean_term_spread(m_rows, sigmas, slices) -> np.ndarray:
+    """m Sigma m' for each row m of m_rows, Sigma the covariance of its
+    group; slices gives the rows of each group."""
+    out = np.empty(m_rows.shape[0])
+    for i, sl in enumerate(slices):
+        M_i = m_rows[sl]
+        out[sl] = np.sum((M_i @ np.asarray(sigmas[i], dtype=float)) * M_i, axis=1)
+    return out
 
 
 def asymptotic_power(q: float, sigma2: float, sigma0_sq: float,
@@ -285,28 +307,29 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
                            d1_bound: float | None = None) -> DiagnosticsReport:
     """Diagnostics for the regularity conditions behind the normal limit.
 
+    omega is the ClassWeights of the design or a dense N x N weight matrix.
     psis are the compressed per-group covariances (population matrices in
     simulation mode, sample scatters in plug-in mode).  m_rows/sigmas feed
-    the mean-concentration ratio; when omitted (plug-in mode, or a model
-    whose weighted means vanish) that ratio is exactly 0.
+    the mean-concentration ratio, m_rows with one row per row class of
+    ClassWeights or per row of a dense omega; when omitted (plug-in mode, or
+    a model whose weighted means vanish) that ratio is exactly 0.
     """
-    omega = np.asarray(omega, dtype=float)
     sizes = tuple(int(n) for n in group_sizes)
     g = len(sizes)
-    n = omega.shape[0]
-    if sum(sizes) != n:
-        raise ValueError(f"group sizes sum to {sum(sizes)} but omega is {n} x {n}")
+    w, n, group = class_pairs(omega, sizes)
+    if sum(sizes) != n.sum():
+        raise ValueError(f"group sizes sum to {sum(sizes)} but omega has "
+                         f"{n.sum():g} rows")
 
-    iu = np.triu_indices(n, 1)
-    vals = omega[iu] ** 2
-    scale = float(np.max(np.abs(omega))) if omega.size else 0.0
+    present = pair_counts(n) > 0.0
+    vals = w[present] ** 2
+    scale = float(np.sqrt(np.max(vals, initial=0.0)))
     nz = vals[vals > (1e-12 * scale) ** 2] if scale > 0.0 else vals[vals > 0]
     if nz.size == 0:
         raise ValueError("all off-diagonal omega weights vanish; "
                          "the weight-spread diagnostic is undefined")
     rho_n = float(np.max(vals) / np.min(nz))
 
-    offs = np.concatenate(([0], np.cumsum(sizes)))
     active = omega_sq_block_sums(omega, sizes) > 0.0
     psis = [np.asarray(Psi, dtype=float) for Psi in psis]
     if len(psis) != g:
@@ -335,12 +358,8 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
         else:
             if sigmas is None:
                 raise ValueError("sigmas are required when m_rows are nonzero")
-            w = np.empty(n)
-            for i in range(g):
-                sl = slice(offs[i], offs[i + 1])
-                M_i = m_rows[sl]
-                w[sl] = np.sum((M_i @ np.asarray(sigmas[i], dtype=float)) * M_i, axis=1)
-            a3_ratio = float(np.sum(w ** 2) / np.sum(w) ** 2)
+            spread = _mean_term_spread(m_rows, sigmas, group_spans(group, g))
+            a3_ratio = float((n @ spread ** 2) / (n @ spread) ** 2)
 
     return DiagnosticsReport(rho_n=rho_n, a2_ratio=a2_ratio, a3_ratio=a3_ratio,
                              d1_bound=d1_bound, heuristic=heuristic,
@@ -356,9 +375,8 @@ def model_diagnostics(model: MeanModel, design: DesignSpec,
     P = proj.compressor
     psis = [_compressed_covariance(S, P) for S in model.sigmas]
     m_rows = mean_weight_rows(model.theta, design, proj)
-    pre = design.A @ model.theta @ design.B.T @ P.T
-    m_scale = float(np.max(np.abs(pre), initial=0.0))
-    return assumption_diagnostics(psis, proj.omega, design.group_sizes,
+    m_scale = float(np.max(np.abs(_class_means(model.theta, design, proj)), initial=0.0))
+    return assumption_diagnostics(psis, proj.weights, design.group_sizes,
                                   m_rows=m_rows, sigmas=model.sigmas,
                                   m_scale=m_scale, heuristic=False,
                                   d1_bound=d1_bound)

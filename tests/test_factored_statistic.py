@@ -1,13 +1,11 @@
 """Property tests: the statistic evaluated through omega's factors matches
 the dense N x N form and the dense oracle over random designs, and the
-per-replication path of TraceTestEngine reads no N x N matrix.
+test, its set-up and Monte Carlo read no N x N matrix.
 
 Designs are one-way (identity or square non-identity (B, R)), two-way,
 profile or growth-curve layouts with groups of at least 4 rows, optionally
 with a within-group covariate column added to A.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -16,18 +14,27 @@ from hypothesis import strategies as st
 
 from gmanova import (
     DesignSpec,
+    ErrorDistribution,
     GroupError,
     GroupedSample,
+    MeanModel,
     NoBalancingSolution,
     TraceTestEngine,
     build_projections,
+    calibrate_signal_ray,
+    canonical_direction,
     estimate_variance,
     growth_curve,
+    model_diagnostics,
+    monte_carlo,
     one_way_manova,
     profile_parallelism,
+    run_test,
+    sigma_full,
     statistic_t,
     two_way_manova,
 )
+from gmanova import trace_test
 from gmanova.oracle import t_by_decomposition
 from gmanova.scenarios import EFFECTS
 
@@ -84,13 +91,28 @@ def test_factored_statistic_matches_dense_and_oracle(case):
                                      rel=0.0, abs=1e-8 * scale)
 
 
-def test_replication_reads_no_dense_matrix():
-    design = one_way_manova((5, 7, 6), 4).design
-    engine = TraceTestEngine(design)
+def test_replication_reads_no_dense_matrix(monkeypatch):
+    """Set-up, test, variance, diagnostics and Monte Carlo leave the lazily
+    expanded N x N pi_a, pi_h and omega of every design build unread."""
+    built = []
+
+    def recording(design):
+        built.append(build_projections(design))
+        return built[-1]
+
+    monkeypatch.setattr(trace_test, "build_projections", recording)
+    design = growth_curve((5, 7, 6), 4, 1).design
+    sigmas = (np.eye(4), 2.0 * np.eye(4), np.diag([1.0, 2.0, 3.0, 4.0]))
     X = np.random.default_rng(3).normal(size=(design.N, design.p))
-    before = engine.statistics(X)
-    nan = np.full((design.N, design.N), np.nan)
-    engine.projections = dataclasses.replace(engine.projections, omega=nan,
-                                             pi_a=nan, pi_h=nan)
-    after = engine.statistics(X)
-    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+    engine = TraceTestEngine(design)
+    engine.statistics(X)
+    run_test(GroupedSample(X, design.group_sizes), design, diagnostics=True)
+    theta = calibrate_signal_ray(design, canonical_direction(design), sigmas, 2.0)
+    model = MeanModel(theta, sigmas)
+    sigma_full(model, design, engine.projections)
+    model_diagnostics(model, design)
+    monte_carlo(design, model, ErrorDistribution.gaussian(), reps=100, seed=1,
+                threads=1)
+    assert len(built) == 5
+    for proj in (engine.projections, *built):
+        assert not {"pi_a", "pi_h", "omega"} & set(vars(proj))

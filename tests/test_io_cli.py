@@ -266,6 +266,8 @@ class TestCli:
         assert main(["diagnose", "--config", str(f)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "row classes: 2 of 12 rows" in out
+        assert "PASS  class balancing weights vs dense solve" in out
 
     def test_bad_config_exit_code(self, tmp_path):
         f = _write(tmp_path / "exp.json", '{"reps": 100}')
@@ -278,3 +280,28 @@ class TestCli:
                      "--emit", str(emit)]) == 0
         design = load_design(emit / "manifest.json")
         assert design.ell == 1 and design.k == 4
+
+    def test_row_level_design_needs_file_order(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        sizes = (6, 7)
+        groups = np.repeat([0, 1], sizes)
+        A = np.column_stack([groups == 0, groups == 1,
+                             rng.normal(size=13)]).astype(float)
+        design = DesignSpec(A=A, B=np.eye(3), L=np.array([[1.0, -1.0, 0.0]]),
+                            R=np.eye(3), group_sizes=sizes)
+        manifest = write_design(design, tmp_path / "cov")
+        data, X = _dataset_csv(tmp_path, design)
+        out = tmp_path / "report.json"
+        assert main(["test", "--data", str(data), "--design", str(manifest),
+                     "--out", str(out)]) == 0
+        expected = run_test(GroupedSample(X, sizes), design)
+        assert json.loads(out.read_text())["t_stat"] == expected.t_stat
+
+        lines = data.read_text().splitlines()
+        order = np.random.default_rng(9).permutation(len(lines))
+        shuffled = _write(tmp_path / "shuffled.csv",
+                          "\n".join(lines[i] for i in order) + "\n")
+        capsys.readouterr()
+        assert main(["test", "--data", str(shuffled), "--design", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert "shuffled.csv" in err and "group 0" in err
