@@ -346,9 +346,13 @@ def row_compressor(design: DesignSpec) -> np.ndarray:
     """The r x p compressor {R(B'B)^{-1}R'}^{-1/2} R (B'B)^{-1} B'.
 
     Its Gram matrix is a projection of rank r.  The inverse square root is
-    taken through a symmetric eigendecomposition.
+    taken through a symmetric eigendecomposition.  When r = p the
+    compressor is orthogonal and every trace of the test is invariant under
+    it (compress skips it), so the identity is returned in its place.
     """
     B, R = design.B, design.R
+    if R.shape[0] == B.shape[0]:
+        return np.eye(B.shape[0])
     G = B.T @ B
     try:
         GinvRT = np.linalg.solve(G, R.T)  # q x r

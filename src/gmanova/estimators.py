@@ -7,13 +7,19 @@ tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
 The estimate is computed here and nowhere else, in two steps:
-variance_design (tau coefficients and omega block sums, once per design)
-and variance_from_data (scatters, a2, b and sigma0, once per data matrix).
+variance_design (tau coefficients, omega block sums and the groups'
+residual bases, once per design) and variance_from_data (a2, b and sigma0,
+once per data matrix).  The data step needs tr S_i, tr(S_i S_j) and Q_i
+only: from the r x r scatters when r <= N, and otherwise from the N x N
+Gram matrix G of the stacked centred residuals R_i, since
+tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +27,6 @@ from .design import (
     DesignSpec,
     ProjectionSet,
     build_projections,
-    numerical_rank,
     omega_sq_block_sums,
     projector,
     residual_basis,
@@ -87,11 +92,11 @@ class VarianceEstimate:
     """Everything the null-variance estimate is made of: per-group S_i, Q_i,
     tau coefficients, design-block ranks, the unbiased a2/b estimates, and
     sigma0_sq_hat itself (which may be non-positive for general designs; the
-    sign is preserved, never clamped).  The block-expanded N x N matrix v_hat
-    is built only when read.
+    sign is preserved, never clamped).  The scatters s are formed by
+    `scatters` on first read when the estimate did not need them (r > N),
+    and the block-expanded N x N matrix v_hat is built only when read.
     """
 
-    s: tuple[np.ndarray, ...]
     q: np.ndarray
     tau: np.ndarray
     k: np.ndarray
@@ -99,10 +104,26 @@ class VarianceEstimate:
     b: np.ndarray
     sigma0_sq: float
     group_sizes: tuple[int, ...]
+    scatters: Callable[[], tuple[np.ndarray, ...]] = field(repr=False)
+
+    @cached_property
+    def s(self) -> tuple[np.ndarray, ...]:
+        return self.scatters()
 
     @property
     def v(self) -> np.ndarray:
         return v_hat(self.a2, self.b, self.group_sizes)
+
+
+@dataclass(frozen=True, eq=False)
+class VarianceDesign:
+    """The design step of the estimate: the g x 3 tau coefficients, the
+    g x g omega o omega block sums, and each group's residual_basis, on
+    which the data step centres the group's compressed rows."""
+
+    tau: np.ndarray
+    blocks: np.ndarray
+    bases: tuple[np.ndarray, ...]
 
 
 def group_projector(A_i) -> np.ndarray:
@@ -128,13 +149,21 @@ def compress(X, compressor) -> np.ndarray:
     return X @ compressor.T
 
 
-def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0):
+def _residuals(Y, U, out=None) -> np.ndarray:
+    """Y - U U'Y, the rows of Y centred on the orthonormal columns of U,
+    written into out when it is given."""
+    fit = U @ (U.T @ Y)
+    return np.subtract(Y, fit, out=fit if out is None else out)
+
+
+def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0, basis=None):
     """Compressed residual scatter of one group.
 
     Returns (S_i, Q_i, k_i) where S_i is the r x r scatter of the compressed
     residuals divided by N_i - k_i, Q_i the matching fourth-order statistic,
     and k_i the numerical rank of the group design block.  The rows are
-    compressed first, then centred on the orthonormal basis of A_i.
+    compressed first, then centred on the orthonormal basis of A_i: basis,
+    when given, else residual_basis(A_i).
     """
     X_i = np.asarray(X_i, dtype=float)
     A_i = np.asarray(A_i, dtype=float)
@@ -142,20 +171,14 @@ def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0):
     if A_i.shape[0] != n_i:
         raise DesignError(
             f"group {group}: A block has {A_i.shape[0]} rows but data has {n_i}")
-    U = residual_basis(A_i, group=group)
+    U = residual_basis(A_i, group=group) if basis is None else basis
     k_i = U.shape[1]
     m = n_i - k_i
-    Y = compress(X_i, compressor)
-    # In place: this runs per Monte Carlo replication, where every fresh
-    # n_i x r or r x r temporary costs page faults.
-    resid = Y
-    if k_i:
-        resid = U @ (U.T @ Y)
-        np.subtract(Y, resid, out=resid)
+    resid = _residuals(compress(X_i, compressor), U)
     S = resid.T @ resid
     S /= m
-    Q = float(np.sum(np.sum(resid * resid, axis=1) ** 2)) / m
-    return S, Q, k_i
+    sq = np.einsum("ij,ij->i", resid, resid)
+    return S, float(sq @ sq) / m, k_i
 
 
 def tau_coefficients(pi_a_i, n_i: int, k_i: int, *, group: int = 0):
@@ -165,11 +188,12 @@ def tau_coefficients(pi_a_i, n_i: int, k_i: int, *, group: int = 0):
     (I - pi_a_i) o (I - pi_a_i); tau3 is the derived denominator of the
     unbiased a2 estimator and must not vanish.
     """
-    pi_a_i = np.asarray(pi_a_i, dtype=float)
-    C = np.eye(n_i) - pi_a_i
-    Csq = C * C
+    # One n_i x n_i array, squared in place: this runs in every engine build.
+    Csq = np.negative(np.asarray(pi_a_i, dtype=float))
+    Csq[np.diag_indices(n_i)] += 1.0
+    np.square(Csq, out=Csq)
     t1 = float(np.trace(Csq))
-    t2 = float(np.sum(Csq * Csq))
+    t2 = float(np.einsum("ij,ij->", Csq, Csq))
     m = n_i - k_i
     if m < 2:
         raise DegenerateGroupError(
@@ -189,13 +213,17 @@ def a2_hat(S_i, Q_i: float, tau_i, n_i: int, k_i: int) -> float:
     sign (the test's decision rule uses an indicator).  tau_i comes from
     tau_coefficients, which rejects groups with N_i - k_i < 2.
     """
-    m = n_i - k_i
-    t1, t2, t3 = tau_i
-    tr_s = float(np.trace(S_i))
-    tr_s2 = float(np.einsum("ij,ij->", S_i, S_i))
+    return float(_a2(float(np.trace(S_i)), float(np.einsum("ij,ij->", S_i, S_i)),
+                     Q_i, tau_i, n_i - k_i))
+
+
+def _a2(tr_s, tr_s2, q, tau, m):
+    """The a2 estimate from tr S, tr S^2 and Q with N_i - k_i = m: numbers
+    and one row of tau coefficients, or arrays over the groups and g x 3."""
+    t1, t2, t3 = np.transpose(tau)
     num = ((m * m * t2 - t1 * t1) * tr_s2
            - (m * t2 - t1 * t1) * tr_s * tr_s
-           - (m - 1.0) * t1 * Q_i)
+           - (m - 1.0) * t1 * q)
     return num / (m * t3)
 
 
@@ -246,40 +274,73 @@ def sigma0_from_blocks(blocks, a2, b) -> float:
     return 2.0 * float(np.sum(blocks * _block_coef(a2, b)))
 
 
-def variance_design(design: DesignSpec, omega) -> tuple[np.ndarray, np.ndarray]:
-    """Design step: the g x 3 tau coefficients of the groups and the g x g
-    omega o omega block sums, from the ClassWeights of the design (or a
-    dense N x N omega)."""
+def variance_design(design: DesignSpec, omega) -> VarianceDesign:
+    """Design step: the tau coefficients, the omega o omega block sums from
+    the ClassWeights of the design (or a dense N x N omega), and the
+    residual bases of the groups."""
     tau = np.empty((design.g, 3))
+    bases = []
     for i in range(design.g):
         A_i = design.A_block(i)
+        # A copy, so the singular vectors past the rank are not kept alive.
+        U = np.ascontiguousarray(residual_basis(A_i, group=i))
         tau[i] = tau_coefficients(group_projector(A_i), design.group_sizes[i],
-                                  numerical_rank(A_i), group=i)
-    return tau, omega_sq_block_sums(omega, design.group_sizes)
+                                  U.shape[1], group=i)
+        bases.append(U)
+    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes),
+                          bases=tuple(bases))
 
 
-def variance_from_data(X, design: DesignSpec, compressor, tau,
-                       blocks) -> VarianceEstimate:
-    """Data step: group scatters, a2 and b estimates, and sigma0_sq for one
-    N x p data matrix, given the design step's tau and block sums."""
+def variance_from_data(X, design: DesignSpec, compressor,
+                       vd: VarianceDesign) -> VarianceEstimate:
+    """Data step: a2 and b estimates and sigma0_sq for one N x p data
+    matrix, given the design step.
+
+    With r <= N the r x r group scatters give tr S_i, tr(S_i S_j) and Q_i.
+    With r > N they come from G = R R' for the N x r stacked centred
+    residuals R: tr(S_i S_j) = ||G_ij||^2 / (m_i m_j), and tr S_i and Q_i
+    from the diagonal of G; the scatters are then formed only when read.
+    """
     g = design.g
-    s_list: list[np.ndarray] = []
-    q = np.empty(g)
-    k = np.empty(g, dtype=int)
-    a2 = np.empty(g)
-    for i in range(g):
-        n_i = design.group_sizes[i]
-        S_i, q[i], k[i] = group_residual_scatter(
-            X[design.group_slice(i)], design.A_block(i), compressor, group=i)
-        a2[i] = a2_hat(S_i, q[i], tau[i], n_i, k[i])
-        s_list.append(S_i)
-    b = np.zeros((g, g))
-    for i in range(g):
-        for j in range(i + 1, g):
-            b[i, j] = b[j, i] = b_hat(s_list[i], s_list[j])
-    return VarianceEstimate(s=tuple(s_list), q=q, tau=tau, k=k, a2=a2, b=b,
-                            sigma0_sq=sigma0_from_blocks(blocks, a2, b),
-                            group_sizes=design.group_sizes)
+    slices = [design.group_slice(i) for i in range(g)]
+    k = np.array([U.shape[1] for U in vd.bases])
+    m = np.asarray(design.group_sizes, dtype=float) - k
+    if compressor.shape[0] <= X.shape[0]:
+        s_list, q = [], np.empty(g)
+        for i, sl in enumerate(slices):
+            S_i, q[i], _ = group_residual_scatter(
+                X[sl], design.A_block(i), compressor, group=i, basis=vd.bases[i])
+            s_list.append(S_i)
+        tr_s = np.array([np.trace(S) for S in s_list])
+        prod = np.empty((g, g))
+        for i in range(g):
+            for j in range(i, g):
+                prod[i, j] = prod[j, i] = b_hat(s_list[i], s_list[j])
+        scatters = tuple(s_list)
+        s_read = lambda: scatters
+    else:
+        Y = compress(X, compressor)
+        R = np.empty(Y.shape)
+        for sl, U in zip(slices, vd.bases):
+            _residuals(Y[sl], U, out=R[sl])
+        G = R @ R.T
+        sq = G.diagonal().copy()
+        offs = design.group_offsets
+        tr_s = np.add.reduceat(sq, offs) / m
+        q = np.add.reduceat(sq * sq, offs) / m
+        G *= G
+        prod = np.add.reduceat(np.add.reduceat(G, offs, axis=0), offs, axis=1)
+        prod /= np.outer(m, m)
+        s_read = lambda: tuple(
+            group_residual_scatter(X[sl], design.A_block(i), compressor,
+                                   group=i, basis=vd.bases[i])[0]
+            for i, sl in enumerate(slices))
+    a2 = _a2(tr_s, np.diagonal(prod), q, vd.tau, m)
+    b = prod
+    np.fill_diagonal(b, 0.0)
+    return VarianceEstimate(q=q, tau=vd.tau, k=k, a2=a2, b=b,
+                            sigma0_sq=sigma0_from_blocks(vd.blocks, a2, b),
+                            group_sizes=design.group_sizes, scatters=s_read)
 
 
 def estimate_variance(sample: GroupedSample, design: DesignSpec,
@@ -294,5 +355,5 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec,
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
     proj = projections if projections is not None else build_projections(design)
-    tau, blocks = variance_design(design, proj.weights)
-    return variance_from_data(sample.X, design, proj.compressor, tau, blocks)
+    return variance_from_data(sample.X, design, proj.compressor,
+                              variance_design(design, proj.weights))

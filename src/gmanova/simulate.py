@@ -4,17 +4,22 @@ Error distributions all have mean zero and identity covariance per
 component and satisfy the vanishing-odd-mixed-fourth-moment requirement,
 either through ellipticity or through independent standardized components.
 Replication j of a run draws from an independent counter-based substream
-keyed by (seed, j), so serial and thread-parallel executions produce
-bitwise-identical summaries.
+keyed by (seed, j), and numpy's OpenBLAS runs on one thread while a run
+lasts, so serial and thread-parallel executions produce bitwise-identical
+summaries.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import kstest
@@ -90,18 +95,24 @@ class ErrorDistribution:
             return 3.0 + 6.0 / self.shape
         return 3.0 * (self.df - 2.0) / (self.df - 4.0)
 
-    def sample(self, rng: np.random.Generator, n: int, p: int) -> np.ndarray:
-        """n i.i.d. rows of the standardized p-variate distribution."""
-        if self.kind == "gaussian":
-            return rng.standard_normal((n, p))
+    def sample(self, rng: np.random.Generator, n: int, p: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """n i.i.d. rows of the standardized p-variate distribution, written
+        into out (a C-contiguous n x p float array) when it is given."""
+        if out is None:
+            out = np.empty((n, p))
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=(n, p)).astype(float) * 2.0 - 1.0
-        if self.kind == "standardized_gamma":
-            g = rng.standard_gamma(self.shape, size=(n, p))
-            return (g - self.shape) / sqrt(self.shape)
-        y = rng.standard_normal((n, p))
-        u = rng.chisquare(self.df, size=n)
-        return y * np.sqrt((self.df - 2.0) / u)[:, None]
+            np.multiply(rng.integers(0, 2, size=(n, p)), 2.0, out=out)
+            out -= 1.0
+        elif self.kind == "standardized_gamma":
+            rng.standard_gamma(self.shape, out=out)
+            out -= self.shape
+            out /= sqrt(self.shape)
+        else:
+            rng.standard_normal(out=out)
+            if self.kind == "elliptical_t":
+                out *= np.sqrt((self.df - 2.0) / rng.chisquare(self.df, size=n))[:, None]
+        return out
 
 
 def sample_errors(dist: ErrorDistribution, n: int, p: int, seed: int) -> np.ndarray:
@@ -178,44 +189,100 @@ class SimulationSummary:
 
 
 def _sigma_factor(S: np.ndarray):
-    """(mode, payload) factorization of a covariance for cheap sampling."""
+    """(root, scale) for colouring standard rows with a covariance: its
+    symmetric root and None, or for a diagonal one None and the scale (a
+    number or one per column; None for the identity)."""
     d = np.diag(S).copy()
-    if np.array_equal(S, np.diag(d)):
-        if d.size and np.all(d == d[0]):
-            return ("scalar", sqrt(float(d[0])))
-        return ("diag", np.sqrt(d))
-    return ("full", _covariance_root(S, "covariance", ValueError))
-
-
-def _apply_factor(Z: np.ndarray, factor) -> np.ndarray:
-    mode, payload = factor
-    if mode == "scalar":
-        return Z if payload == 1.0 else Z * payload
-    if mode == "diag":
-        return Z * payload[None, :]
-    return Z @ payload
+    if not np.array_equal(S, np.diag(d)):
+        return _covariance_root(S, "covariance", ValueError), None
+    if d.size and np.all(d == d[0]):
+        return None, (None if d[0] == 1.0 else sqrt(float(d[0])))
+    return None, np.sqrt(d)
 
 
 def replication_sampler(design: DesignSpec, model: MeanModel, dists):
     """draw(seed, j): the N x p data matrix of replication j of a run keyed
     by seed, drawn from the substream (seed, j) with one error distribution
-    per group, the model's covariances and its mean."""
+    per group, the model's covariances and its mean.  Each group's rows are
+    drawn and coloured in place in the matrix, except that a full root
+    needs the standard rows apart."""
     factors = [_sigma_factor(S) for S in model.sigmas]
     mean_matrix = design.A @ model.theta @ design.B.T
     has_mean = bool(np.any(mean_matrix))
-    slices = [design.group_slice(i) for i in range(design.g)]
+    groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
+              for i in range(design.g)]
+    p = design.p
 
     def draw(seed: int, j: int) -> np.ndarray:
         rng = _substream(seed, j)
-        X = np.empty((design.N, design.p))
-        for i, sl in enumerate(slices):
-            Z = dists[i].sample(rng, design.group_sizes[i], design.p)
-            X[sl] = _apply_factor(Z, factors[i])
+        X = np.empty((design.N, p))
+        for sl, n, dist, root, scale in groups:
+            if root is not None:
+                np.matmul(dist.sample(rng, n, p), root, out=X[sl])
+            else:
+                block = dist.sample(rng, n, p, out=X[sl])
+                if scale is not None:
+                    block *= scale
         if has_mean:
             X += mean_matrix
         return X
 
     return draw
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
+    None when no such library or function is found."""
+    names = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+             ("openblas_get_num_threads", "openblas_set_num_threads"))
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in names:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+_BLAS_LOCK = threading.Lock()
+_blas_holds = 0
+_blas_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread while the block runs.
+
+    OpenBLAS keeps one process-wide count: threaded GEMMs from several
+    workers queue on its shared threads, and its results depend on the
+    count.  Overlapping holds (nested, or from concurrent calls) share one
+    pin; the last to leave restores the count that the first found.
+    """
+    global _blas_holds, _blas_saved
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _BLAS_LOCK:
+        if _blas_holds == 0:
+            _blas_saved = get()
+            set_(1)
+        _blas_holds += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                set_(_blas_saved)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -245,7 +312,9 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
 
     distributions is one ErrorDistribution per group (a single one is
     broadcast).  Identical (arguments, seed) produce identical summaries
-    regardless of the thread count.
+    regardless of the thread count.  threads workers each run whole
+    replications; numpy's OpenBLAS is held at one thread for the whole call
+    (process-wide) and restored when the call returns or raises.
     """
     if isinstance(design, Scenario):
         design = design.design
@@ -262,31 +331,32 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
     if len(dists) != design.g:
         raise ConfigError(f"{len(dists)} distributions for {design.g} groups")
 
-    engine = TraceTestEngine(design, alpha)
-    q = true_q(model.theta, design)
-    sigma2, sigma0_sq = sigma_full(model, design, engine.projections)
-    predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
-
-    draw = replication_sampler(design, model, dists)
-
+    n_threads = resolve_threads(threads)
     z_vals = np.empty(reps)
     rejects = np.zeros(reps, dtype=bool)
     degenerate = np.zeros(reps, dtype=bool)
 
-    def run_one(j: int) -> None:
-        t, _, _, s0 = engine.statistics(draw(seed, j))
-        z, _, rej, degen = _decide(t, s0, engine.alpha)
-        z_vals[j] = z
-        rejects[j] = rej
-        degenerate[j] = degen
+    with _one_blas_thread():
+        engine = TraceTestEngine(design, alpha)
+        q = true_q(model.theta, design)
+        sigma2, sigma0_sq = sigma_full(model, design, engine.projections)
+        predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
+        draw = replication_sampler(design, model, dists)
 
-    n_threads = resolve_threads(threads)
-    if n_threads <= 1:
-        for j in range(reps):
-            run_one(j)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_one, range(reps), chunksize=max(1, reps // (8 * n_threads))))
+        def run_one(j: int) -> None:
+            t, _, _, s0 = engine.statistics(draw(seed, j))
+            z, _, rej, degen = _decide(t, s0, engine.alpha)
+            z_vals[j] = z
+            rejects[j] = rej
+            degenerate[j] = degen
+
+        if n_threads <= 1:
+            for j in range(reps):
+                run_one(j)
+        else:
+            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+                list(pool.map(run_one, range(reps),
+                              chunksize=max(1, reps // (8 * n_threads))))
 
     rate = float(np.mean(rejects))
     return SimulationSummary(

@@ -145,7 +145,7 @@ class TraceTestEngine:
         self.design = design
         self.alpha = _check_alpha(alpha)
         self.projections = build_projections(design)
-        self._tau, self._blocks = variance_design(design, self.projections.weights)
+        self._variance = variance_design(design, self.projections.weights)
 
     @property
     def omega(self) -> np.ndarray:
@@ -161,7 +161,7 @@ class TraceTestEngine:
                 f"data shape {X.shape} does not match design ({design.N}, {design.p})")
         P = self.projections.compressor
         t = statistic_t(X, P, self.projections.factors)
-        est = variance_from_data(X, design, P, self._tau, self._blocks)
+        est = variance_from_data(X, design, P, self._variance)
         return t, est.a2, est.b, est.sigma0_sq
 
     def test_matrix(self, X: np.ndarray) -> TestReport:
@@ -213,19 +213,20 @@ def true_q(theta, design: DesignSpec) -> float:
 def _class_means(theta, design: DesignSpec, proj: ProjectionSet) -> np.ndarray:
     """u x r compressed mean rows A theta B' P' at the class representatives."""
     A_u = design.A[proj.weights.classes.first]
-    return A_u @ np.asarray(theta, dtype=float) @ design.B.T @ proj.compressor.T
+    return compress(A_u @ np.asarray(theta, dtype=float) @ design.B.T, proj.compressor)
 
 
 def mean_weight_rows(theta, design: DesignSpec,
                      projections: ProjectionSet | None = None) -> np.ndarray:
     """u x p matrix, one row per row class: the omega-weighted mean
     direction the statistic's cross term projects the error of each row of
-    the class onto, sum_{j != i} omega_ij (A theta B' P')_j P."""
+    the class onto, sum_{j != i} omega_ij (A theta B' P')_j P (P' P = I
+    for a square P, which is skipped)."""
     proj = projections if projections is not None else build_projections(design)
     w = proj.weights
     coef = w.omega * w.classes.sizes
     coef[np.diag_indices_from(coef)] -= np.diag(w.omega)
-    return (coef @ _class_means(theta, design, proj)) @ proj.compressor
+    return compress(coef @ _class_means(theta, design, proj), proj.compressor.T)
 
 
 def _compressed_covariance(S, compressor) -> np.ndarray:

@@ -1,3 +1,8 @@
+import dataclasses
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,12 +11,14 @@ from gmanova import (
     CovarianceSpec,
     ErrorDistribution,
     MeanModel,
+    TraceTestEngine,
     calibrate_signal_ray,
     canonical_direction,
     monte_carlo,
     one_way_manova,
     sample_errors,
     sigma_full,
+    simulate,
     true_q,
 )
 from gmanova.simulate import resolve_threads
@@ -110,6 +117,20 @@ class TestMonteCarlo:
         parallel = monte_carlo(design, model, dist, reps=150, seed=10, threads=3)
         assert serial == parallel
 
+    @pytest.mark.parametrize("sizes, p", [((30, 60), 300), ((150, 160), 150)],
+                             ids=["r>N", "r<=N"])
+    def test_thread_count_does_not_change_ar1_results(self, sizes, p):
+        """An AR1 covariance colours the draws with a GEMM whose bits, at
+        these sizes, depend on the BLAS thread count; the Gram (r > N) and
+        scatter (r <= N) forms of the variance step both run."""
+        design, _ = self._setup(p, sizes)
+        model = MeanModel(np.zeros((len(sizes), p)),
+                          (np.eye(p), CovarianceSpec(kind="ar1", rho=0.6).matrix(p)))
+        dist = ErrorDistribution.elliptical_t(9.0)
+        runs = [monte_carlo(design, model, dist, reps=120, seed=21, threads=t)
+                for t in (1, 2, 3)]
+        assert _bits(runs[0]) == _bits(runs[1]) == _bits(runs[2])
+
     def test_null_calibration_coarse(self):
         design, model = self._setup(p=20, sizes=(10, 10))
         summary = monte_carlo(design, model, ErrorDistribution.gaussian(),
@@ -181,3 +202,138 @@ class TestThreads:
         assert resolve_threads(2) == 2
         with pytest.raises(ConfigError):
             resolve_threads(-1)
+
+
+def _bits(summary) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(summary))
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count, set to 2 for the test
+    and restored after it."""
+    api = simulate._openblas_threads()
+    if api is None:
+        pytest.skip("the thread count of numpy's BLAS is not reachable")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+class TestBlasThreads:
+    def _run(self, threads, reps=100):
+        design = one_way_manova((8, 8), 6).design
+        model = MeanModel(np.zeros((2, 6)), (np.eye(6),) * 2)
+        return monte_carlo(design, model, ErrorDistribution.gaussian(),
+                           reps=reps, seed=3, threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_during_the_call_and_restored(self, blas_threads, monkeypatch, threads):
+        get, _ = blas_threads
+        seen = []
+        statistics = TraceTestEngine.statistics
+
+        def spy(self, X):
+            seen.append(get())
+            return statistics(self, X)
+
+        monkeypatch.setattr(TraceTestEngine, "statistics", spy)
+        self._run(threads)
+        assert len(seen) == 100 and set(seen) == {1}
+        assert get() == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_restored_after_a_raise(self, blas_threads, monkeypatch, threads):
+        get, _ = blas_threads
+
+        def boom(self, X):
+            assert get() == 1
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(TraceTestEngine, "statistics", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            self._run(threads)
+        assert get() == 2
+
+    def test_overlapping_calls_share_the_pin(self, blas_threads, monkeypatch):
+        """A call that ends while a later one still runs leaves the count
+        pinned for it, and the last call to end restores the count."""
+        get, _ = blas_threads
+        later = threading.Thread(target=self._run, args=(1,))
+        later_pinned, first_done = threading.Event(), threading.Event()
+        seen = {"first": [], "later": []}
+        statistics = TraceTestEngine.statistics
+
+        def spy(self, X):
+            if threading.current_thread() is later:
+                later_pinned.set()
+                first_done.wait(timeout=60)
+                seen["later"].append(get())
+            else:
+                if not later_pinned.is_set():
+                    later.start()
+                    later_pinned.wait(timeout=60)
+                seen["first"].append(get())
+            return statistics(self, X)
+
+        monkeypatch.setattr(TraceTestEngine, "statistics", spy)
+        self._run(1)
+        after_first = get()
+        first_done.set()
+        later.join(timeout=60)
+        assert not later.is_alive()
+        assert after_first == 1
+        assert len(seen["first"]) == len(seen["later"]) == 100
+        assert set(seen["first"]) == set(seen["later"]) == {1}
+        assert get() == 2
+
+    def test_concurrent_calls_match_serial_calls(self, blas_threads, monkeypatch):
+        """Four callers on two cores, with a short switch interval: every
+        replication runs pinned, the summaries equal serial ones, and the
+        count is restored once all calls end."""
+        get, _ = blas_threads
+        p = 150
+        design = one_way_manova((30, 60), p).design
+        model = MeanModel(np.zeros((2, p)),
+                          (np.eye(p), CovarianceSpec(kind="ar1", rho=0.5).matrix(p)))
+        dist = ErrorDistribution.gaussian()
+        seeds = (31, 32, 33, 34)
+        serial = [_bits(monte_carlo(design, model, dist, reps=100, seed=s, threads=2))
+                  for s in seeds]
+        seen = []
+        statistics = TraceTestEngine.statistics
+
+        def spy(self, X):
+            seen.append(get())
+            return statistics(self, X)
+
+        monkeypatch.setattr(TraceTestEngine, "statistics", spy)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(seeds)) as pool:
+                futures = [pool.submit(monte_carlo, design, model, dist, reps=100,
+                                       seed=s, threads=2) for s in seeds]
+                concurrent = [_bits(f.result(timeout=120)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
+        assert len(seen) == 100 * len(seeds) and set(seen) == {1}
+        assert get() == 2
+
+
+class TestInPlaceDraws:
+    @pytest.mark.parametrize("dist", [
+        ErrorDistribution.gaussian(), ErrorDistribution.elliptical_t(7.0),
+        ErrorDistribution.standardized_gamma(1.5), ErrorDistribution.rademacher(),
+    ], ids=lambda d: d.kind)
+    def test_out_matches_a_fresh_array(self, dist):
+        fresh = dist.sample(np.random.default_rng(5), 7, 9)
+        out = np.full((10, 9), np.nan)
+        got = dist.sample(np.random.default_rng(5), 7, 9, out=out[2:9])
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out[2:9], fresh)
+        assert np.all(np.isnan(out[:2])) and np.all(np.isnan(out[9:]))
