@@ -5,6 +5,8 @@ covariances differ, and the errors are non-normal."""
 
 __version__ = "0.1.0"
 
+import logging
+
 from .design import (
     DesignSpec,
     ProjectionSet,
@@ -64,6 +66,8 @@ from .trace_test import (
     statistic_t,
     true_q,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

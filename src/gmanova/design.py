@@ -22,6 +22,7 @@ from math import sqrt
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import DegenerateGroupError, DesignError, NoBalancingSolution
 
 # Numerical policy: ranks from singular values with a relative cutoff,
@@ -49,9 +50,17 @@ def _rank(s: np.ndarray) -> int:
 
 
 def numerical_rank(M) -> int:
-    """Rank of a matrix from its singular values, relative cutoff RANK_RTOL."""
-    return _rank(np.linalg.svd(np.atleast_2d(np.asarray(M, dtype=float)),
-                               compute_uv=False))
+    """Rank of a matrix from its singular values, relative cutoff RANK_RTOL.
+
+    The singular values of a diagonal matrix (every off-diagonal entry
+    zero, such as an identity B or R) are its sorted absolute diagonal,
+    read without an SVD.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    d = np.abs(np.diagonal(M))
+    if np.count_nonzero(M) == np.count_nonzero(d) and np.all(np.isfinite(d)):
+        return _rank(np.sort(d)[::-1])
+    return _rank(np.linalg.svd(M, compute_uv=False))
 
 
 def range_basis(M) -> np.ndarray:
@@ -156,6 +165,15 @@ class DesignSpec:
     def group_offsets(self) -> tuple[int, ...]:
         offs = np.concatenate(([0], np.cumsum(self.group_sizes[:-1])))
         return tuple(int(o) for o in offs)
+
+    @cached_property
+    def hypothesis_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L(A'A)^{-1}L', R(B'B)^{-1}R'), read-only and computed at one BLAS
+        thread: the Grams of the hypothesis in the spaces of A and of B."""
+        with one_blas_thread():
+            GA = self.L @ np.linalg.solve(self.A.T @ self.A, self.L.T)
+            GB = self.R @ np.linalg.solve(self.B.T @ self.B, self.R.T)
+        return _read_only(GA), _read_only(GB)
 
     def group_slice(self, i: int) -> slice:
         off = self.group_offsets[i]

@@ -11,19 +11,18 @@ summaries.
 
 from __future__ import annotations
 
-import ctypes
+import logging
 import os
-import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import kstest
 
+from .blas import one_blas_thread
+from .covariance import lookup
 from .design import DesignSpec
 from .errors import ConfigError
 from .scenarios import Scenario
@@ -37,6 +36,8 @@ from .trace_test import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+_log = logging.getLogger(__name__)
 
 DISTRIBUTION_KINDS = ("gaussian", "elliptical_t", "standardized_gamma", "rademacher")
 COVARIANCE_KINDS = ("identity", "compound_symmetry", "ar1", "diagonal_ramp")
@@ -157,20 +158,16 @@ class CovarianceSpec:
             S = np.diag(np.linspace(self.lo, self.hi, p))
         return self.scale * S
 
-    @lru_cache(maxsize=64)
     def sqrt(self, p: int) -> np.ndarray:
-        return _covariance_root(self.matrix(p), f"{self.kind} covariance at p={p}",
-                                ConfigError)
-
-
-def _covariance_root(S: np.ndarray, what: str, error: type[Exception]) -> np.ndarray:
-    """Symmetric square root of a covariance through its eigendecomposition;
-    raises `error` when it is not positive definite."""
-    w, V = np.linalg.eigh((S + S.T) / 2.0)
-    if w[0] <= 0.0:
-        raise error(f"{what} is not positive definite (min eigenvalue {w[0]:.3e})")
-    root = (V * np.sqrt(w)) @ V.T
-    return (root + root.T) / 2.0
+        """The symmetric square root at dimension p, read-only, from the
+        covariance cache."""
+        S = self.matrix(p)
+        (entry,), _, _ = lookup([S])
+        w0, root = entry.symmetric_root(S)
+        if root is None:
+            raise ConfigError(f"{self.kind} covariance at p={p} is not positive "
+                              f"definite (min eigenvalue {w0:.3e})")
+        return root
 
 
 @dataclass(frozen=True)
@@ -188,26 +185,17 @@ class SimulationSummary:
     seed: int
 
 
-def _sigma_factor(S: np.ndarray):
-    """(root, scale) for colouring standard rows with a covariance: its
-    symmetric root and None, or for a diagonal one None and the scale (a
-    number or one per column; None for the identity)."""
-    d = np.diag(S).copy()
-    if not np.array_equal(S, np.diag(d)):
-        return _covariance_root(S, "covariance", ValueError), None
-    if d.size and np.all(d == d[0]):
-        return None, (None if d[0] == 1.0 else sqrt(float(d[0])))
-    return None, np.sqrt(d)
-
-
-def replication_sampler(design: DesignSpec, model: MeanModel, dists):
+def replication_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
     """draw(seed, j): the N x p data matrix of replication j of a run keyed
     by seed, drawn from the substream (seed, j) with one error distribution
     per group, the model's covariances and its mean.  Each group's rows are
     drawn and coloured in place in the matrix, except that a full root
-    needs the standard rows apart."""
-    factors = [_sigma_factor(S) for S in model.sigmas]
-    mean_matrix = design.A @ model.theta @ design.B.T
+    needs the standard rows apart.  The colouring factors come from the
+    covariance cache entries of model.sigmas (looked up when omitted)."""
+    if entries is None:
+        entries = lookup(model.sigmas)[0]
+    factors = [entry.colouring(S) for entry, S in zip(entries, model.sigmas)]
+    mean_matrix = design.A @ model.theta @ design.B.T if np.any(model.theta) else 0.0
     has_mean = bool(np.any(mean_matrix))
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
@@ -228,61 +216,6 @@ def replication_sampler(design: DesignSpec, model: MeanModel, dists):
         return X
 
     return draw
-
-
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy loaded, or
-    None when no such library or function is found."""
-    names = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-             ("openblas_get_num_threads", "openblas_set_num_threads"))
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for get_name, set_name in names:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-_BLAS_LOCK = threading.Lock()
-_blas_holds = 0
-_blas_saved = 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread while the block runs.
-
-    OpenBLAS keeps one process-wide count: threaded GEMMs from several
-    workers queue on its shared threads, and its results depend on the
-    count.  Overlapping holds (nested, or from concurrent calls) share one
-    pin; the last to leave restores the count that the first found.
-    """
-    global _blas_holds, _blas_saved
-    api = _openblas_threads()
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    with _BLAS_LOCK:
-        if _blas_holds == 0:
-            _blas_saved = get()
-            set_(1)
-        _blas_holds += 1
-    try:
-        yield
-    finally:
-        with _BLAS_LOCK:
-            _blas_holds -= 1
-            if _blas_holds == 0:
-                set_(_blas_saved)
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -314,8 +247,11 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
     broadcast).  Identical (arguments, seed) produce identical summaries
     regardless of the thread count.  threads workers each run whole
     replications; numpy's OpenBLAS is held at one thread for the whole call
-    (process-wide) and restored when the call returns or raises.
+    (process-wide) and restored when the call returns or raises.  The
+    per-covariance set-up is read from the covariance cache, and one INFO
+    record on the "gmanova.simulate" logger gives the call's timings.
     """
+    start = time.perf_counter()
     if isinstance(design, Scenario):
         design = design.design
     if not isinstance(design, DesignSpec):
@@ -336,12 +272,14 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
     rejects = np.zeros(reps, dtype=bool)
     degenerate = np.zeros(reps, dtype=bool)
 
-    with _one_blas_thread():
+    with one_blas_thread():
+        entries, hits, misses = lookup(model.sigmas)
         engine = TraceTestEngine(design, alpha)
         q = true_q(model.theta, design)
-        sigma2, sigma0_sq = sigma_full(model, design, engine.projections)
+        sigma2, sigma0_sq = sigma_full(model, design, engine.projections, entries)
         predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
-        draw = replication_sampler(design, model, dists)
+        draw = replication_sampler(design, model, dists, entries)
+        ready = time.perf_counter()
 
         def run_one(j: int) -> None:
             t, _, _, s0 = engine.statistics(draw(seed, j))
@@ -358,6 +296,10 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
                 list(pool.map(run_one, range(reps),
                               chunksize=max(1, reps // (8 * n_threads))))
 
+    rep_s = time.perf_counter() - ready
+    _log.info("monte_carlo: set-up %.4f s, covariance cache %d hits %d misses; "
+              "%d replications in %.4f s, %.1f reps/s, threads=%d",
+              ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads)
     rate = float(np.mean(rejects))
     return SimulationSummary(
         replications=reps,

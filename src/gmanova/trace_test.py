@@ -25,6 +25,7 @@ from math import sqrt
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .covariance import lookup
 from .design import (
     DesignSpec,
     OmegaFactors,
@@ -205,8 +206,9 @@ def true_q(theta, design: DesignSpec) -> float:
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {theta.shape}")
     C = design.L @ theta @ design.R.T
-    GA = design.L @ np.linalg.solve(design.A.T @ design.A, design.L.T)
-    GB = design.R @ np.linalg.solve(design.B.T @ design.B, design.R.T)
+    if not np.any(C):
+        return 0.0
+    GA, GB = design.hypothesis_grams
     return float(np.trace(np.linalg.solve(GA, C) @ np.linalg.solve(GB, C.T)))
 
 
@@ -236,25 +238,32 @@ def _compressed_covariance(S, compressor) -> np.ndarray:
     return compress(compress(S, compressor).T, compressor)
 
 
-def _check_covariances(model: MeanModel, design: DesignSpec) -> None:
+def _check_covariances(model: MeanModel, design: DesignSpec, entries=None) -> None:
+    """Count, shapes and Cholesky gate of the model's covariances, the
+    verdicts read from their covariance cache entries (looked up when
+    omitted)."""
     if len(model.sigmas) != design.g:
         raise ValueError(
             f"{len(model.sigmas)} covariances for {design.g} groups")
-    for i, S in enumerate(model.sigmas):
+    if entries is None:
+        entries = lookup(model.sigmas)[0]
+    for i, (S, entry) in enumerate(zip(model.sigmas, entries)):
         if S.shape != (design.p, design.p):
             raise ValueError(
                 f"covariance {i} has shape {S.shape}, expected ({design.p}, {design.p})")
-        try:
-            np.linalg.cholesky((S + S.T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"covariance {i} is not positive definite") from exc
+        if not entry.cholesky_ok(S):
+            raise ValueError(f"covariance {i} is not positive definite")
 
 
 def sigma_full(model: MeanModel, design: DesignSpec,
-               projections: ProjectionSet | None = None) -> tuple[float, float]:
+               projections: ProjectionSet | None = None,
+               entries=None) -> tuple[float, float]:
     """Exact variance decomposition (sigma_sq, sigma0_sq) of the statistic
-    under the model; the two coincide when the null holds."""
-    _check_covariances(model, design)
+    under the model; the two coincide when the null holds, and are equal
+    without the mean terms when A theta B' is exactly zero.  entries are
+    the covariance cache entries of model.sigmas (looked up when
+    omitted)."""
+    _check_covariances(model, design, entries)
     if model.theta.shape != (design.k, design.q):
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
@@ -272,6 +281,8 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     sigma0_sq = sigma0_from_blocks(
         omega_sq_block_sums(proj.weights, design.group_sizes), a, b)
     classes = proj.weights.classes
+    if not np.any(design.A[classes.first] @ model.theta @ design.B.T):
+        return sigma0_sq, sigma0_sq
     spread = _mean_term_spread(mean_weight_rows(model.theta, design, proj),
                                model.sigmas, group_spans(classes.group, g))
     return sigma0_sq + 4.0 * float(classes.sizes @ spread), sigma0_sq

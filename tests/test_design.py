@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmanova import (
     DesignError,
@@ -17,6 +19,7 @@ from gmanova import (
     solve_balancing_weights,
     two_way_manova,
 )
+from gmanova.design import RANK_RTOL, _rank
 from gmanova.oracle import dense_min_norm_solve
 
 SCENARIOS = [
@@ -216,3 +219,46 @@ class TestDesignSpecValidation:
     def test_rank_threshold(self):
         assert numerical_rank(np.diag([1.0, 1e-14])) == 1
         assert numerical_rank(np.diag([1.0, 1e-6])) == 2
+
+
+# Diagonal entries relative to the largest: zeros, ordinary values, and
+# values a few ulps either side of the rank cutoff.
+_near_cutoff = st.integers(-4, 4).map(
+    lambda k: RANK_RTOL * (1.0 + k * np.finfo(float).eps))
+_relative = st.one_of(st.just(0.0), st.floats(1e-16, 1.0), _near_cutoff)
+
+
+class TestDiagonalRank:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rel=st.lists(_relative, min_size=1, max_size=8),
+           signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=9, max_size=9),
+           exponent=st.integers(-100, 100),
+           extra_rows=st.integers(0, 3),
+           transpose=st.booleans())
+    def test_verdict_matches_the_svd(self, rel, signs, exponent, extra_rows, transpose):
+        """The sorted |diagonal| gives the SVD's verdict, with zeros and
+        entries at the cutoff, at any scale and shape."""
+        n = len(rel) + 1
+        d = np.array([1.0] + rel) * np.array(signs[:n]) * 10.0 ** exponent
+        M = np.zeros((n + extra_rows, n))
+        M[np.arange(n), np.arange(n)] = d
+        if transpose:
+            M = M.T
+        assert numerical_rank(M) == _rank(np.linalg.svd(M, compute_uv=False))
+
+    def test_reads_no_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert numerical_rank(np.eye(600)) == 600
+        assert numerical_rank(np.diag([2.0, 0.0, -1e-12, 3.0])) == 2
+        assert numerical_rank(np.zeros((3, 2))) == 0
+
+    def test_off_diagonal_entry_takes_the_svd(self):
+        M = np.diag([1.0, 1.0])
+        M[0, 1] = 1.0
+        M[1, 1] = 1.0
+        assert numerical_rank(M) == 2
+        M[1, 0] = 1.0
+        assert numerical_rank(M) == 1

@@ -18,9 +18,9 @@ from gmanova import (
     one_way_manova,
     sample_errors,
     sigma_full,
-    simulate,
     true_q,
 )
+from gmanova.blas import openblas_threads
 from gmanova.simulate import resolve_threads
 
 
@@ -213,7 +213,7 @@ def _bits(summary) -> tuple:
 def blas_threads():
     """(get, set) of numpy's OpenBLAS thread count, set to 2 for the test
     and restored after it."""
-    api = simulate._openblas_threads()
+    api = openblas_threads()
     if api is None:
         pytest.skip("the thread count of numpy's BLAS is not reachable")
     get, set_ = api
