@@ -2,7 +2,7 @@
 
 A power study runs the test many times on the same covariances, and each
 run needs the same O(p^3) facts about each of them: the factor that
-colours standard draws, and the positive-definiteness verdicts of the
+colours standard draws, and the positive-definiteness verdict of the
 gates.  They are cached here, keyed by the shape and the SHA-256 of the
 C-contiguous float64 bytes, so an array edited in place is a new key and
 never reads a stale entry.  An entry computes each value on first need,
@@ -21,7 +21,7 @@ from math import sqrt
 import numpy as np
 
 from .blas import one_blas_thread
-from .design import _read_only
+from .design import _read_only, positive_definite
 
 CACHE_SIZE = 64
 
@@ -31,57 +31,57 @@ _CACHE: OrderedDict = OrderedDict()
 
 class CovarianceEntry:
     """The cached facts about one covariance.  Each method takes a matrix
-    with the bytes the entry was looked up with and computes its value on
-    the first call only; concurrent first calls may each compute it, and
-    get bitwise-equal values."""
+    with the bytes the entry was looked up with.  One factorization, run on
+    the first call only, gives the colouring factor and the one
+    positive-definiteness verdict every gate reads: the diagonal of a
+    diagonal S, otherwise the eigendecomposition of its symmetric part,
+    judged by design.positive_definite.  Concurrent first calls may each
+    run it, and get bitwise-equal values."""
 
     def __init__(self):
-        self._eig = None
-        self._colouring = None
-        self._cholesky = None
+        self._factor = None
+
+    def _factorize(self, S: np.ndarray):
+        """(minimum eigenvalue, verdict, symmetric root): the root of a full
+        positive definite S, else None."""
+        if self._factor is None:
+            w, root = np.diag(S), None
+            if not np.array_equal(S, np.diag(w)):
+                with one_blas_thread():
+                    w, V = np.linalg.eigh((S + S.T) / 2.0)
+                    if positive_definite(w[0], w[-1]):
+                        root = (V * np.sqrt(w)) @ V.T
+                        root = _read_only((root + root.T) / 2.0)
+            w0 = float(np.min(w))
+            self._factor = (w0, positive_definite(w0, np.max(w)), root)
+        return self._factor
+
+    def is_positive_definite(self, S: np.ndarray) -> bool:
+        return self._factorize(S)[1]
 
     def symmetric_root(self, S: np.ndarray):
-        """(minimum eigenvalue, symmetric square root) through the
-        eigendecomposition; the root is None unless S is positive definite."""
-        if self._eig is None:
-            with one_blas_thread():
-                w, V = np.linalg.eigh((S + S.T) / 2.0)
-                root = None
-                if w[0] > 0.0:
-                    root = (V * np.sqrt(w)) @ V.T
-                    root = _read_only((root + root.T) / 2.0)
-            self._eig = (float(w[0]), root)
-        return self._eig
+        """(minimum eigenvalue, symmetric square root); the root is None
+        unless S is positive definite."""
+        w0, ok, root = self._factorize(S)
+        if ok and root is None:
+            root = _read_only(np.diag(np.sqrt(np.diag(S))))
+        return w0, root
 
     def colouring(self, S: np.ndarray):
         """(root, scale) for colouring standard rows with S: its symmetric
         root and None, or for a diagonal S None and the scale (a number or
-        one per column; None for the identity).  Raises ValueError when a
-        full S is not positive definite."""
-        if self._colouring is None:
-            d = np.diag(S).copy()
-            if not np.array_equal(S, np.diag(d)):
-                w0, root = self.symmetric_root(S)
-                if root is None:
-                    raise ValueError(
-                        f"covariance is not positive definite (min eigenvalue {w0:.3e})")
-                self._colouring = (root, None)
-            elif d.size and np.all(d == d[0]):
-                self._colouring = (None, None if d[0] == 1.0 else sqrt(float(d[0])))
-            else:
-                self._colouring = (None, _read_only(np.sqrt(d)))
-        return self._colouring
-
-    def cholesky_ok(self, S: np.ndarray) -> bool:
-        """Whether the symmetric part of S has a Cholesky factor."""
-        if self._cholesky is None:
-            try:
-                with one_blas_thread():
-                    np.linalg.cholesky((S + S.T) / 2.0)
-                self._cholesky = True
-            except np.linalg.LinAlgError:
-                self._cholesky = False
-        return self._cholesky
+        one per column; None for the identity).  Raises ValueError when S
+        is not positive definite."""
+        w0, ok, root = self._factorize(S)
+        if not ok:
+            raise ValueError(
+                f"covariance is not positive definite (min eigenvalue {w0:.3e})")
+        if root is not None:
+            return root, None
+        d = np.diag(S)
+        if np.all(d == d[0]):
+            return None, None if d[0] == 1.0 else sqrt(float(d[0]))
+        return None, _read_only(np.sqrt(d))
 
 
 def lookup(sigmas):

@@ -43,6 +43,13 @@ def _as_matrix(M, name: str) -> np.ndarray:
     return M
 
 
+def positive_definite(w_min, w_max) -> bool:
+    """The verdict of every positive-definiteness gate, from the smallest
+    and largest eigenvalue: the largest is positive and the smallest exceeds
+    EIG_FLOOR times it."""
+    return bool(w_max > 0.0 and w_min > EIG_FLOOR * w_max)
+
+
 def _rank(s: np.ndarray) -> int:
     if s.size == 0 or s[0] <= 0.0:
         return 0
@@ -94,6 +101,8 @@ class DesignSpec:
     A is N x k (rank k), B is p x q (rank q), L is ell x k (rank ell),
     R is r x q (rank r), and group_sizes gives the g block sizes of the
     row partition of A/X (observations in one group share a covariance).
+    Its factorizations are computed once, at one BLAS thread so their bits
+    do not depend on which caller came first, and are read-only.
     """
 
     A: np.ndarray
@@ -167,13 +176,55 @@ class DesignSpec:
         return tuple(int(o) for o in offs)
 
     @cached_property
-    def hypothesis_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L(A'A)^{-1}L', R(B'B)^{-1}R'), read-only and computed at one BLAS
-        thread: the Grams of the hypothesis in the spaces of A and of B."""
+    def _a_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L(A'A)^{-1}L', hypothesis_root), from one solve with A'A."""
+        A, L = self.A, self.L
         with one_blas_thread():
-            GA = self.L @ np.linalg.solve(self.A.T @ self.A, self.L.T)
-            GB = self.R @ np.linalg.solve(self.B.T @ self.B, self.R.T)
-        return _read_only(GA), _read_only(GB)
+            try:
+                GinvLT = np.linalg.solve(A.T @ A, L.T)
+            except np.linalg.LinAlgError as exc:
+                raise DesignError(f"A'A is numerically singular: {exc}") from exc
+            GA = L @ GinvLT
+            try:
+                c = np.linalg.cholesky((GA + GA.T) / 2.0)
+            except np.linalg.LinAlgError as exc:
+                raise DesignError("L(A'A)^{-1}L' is numerically singular") from exc
+            W = np.linalg.solve(c, (A @ GinvLT).T)
+        return _read_only(GA), _read_only(W)
+
+    @cached_property
+    def _b_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """((B'B)^{-1}R', R(B'B)^{-1}R'), from one solve with B'B."""
+        B, R = self.B, self.R
+        with one_blas_thread():
+            try:
+                GinvRT = np.linalg.solve(B.T @ B, R.T)
+            except np.linalg.LinAlgError as exc:
+                raise DesignError(f"B'B is numerically singular: {exc}") from exc
+            GB = R @ GinvRT
+        return _read_only(GinvRT), _read_only(GB)
+
+    @cached_property
+    def hypothesis_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L(A'A)^{-1}L', R(B'B)^{-1}R'): the Grams of the hypothesis in the
+        spaces of A and of B."""
+        return self._a_factors[0], self._b_factors[1]
+
+    @property
+    def hypothesis_root(self) -> np.ndarray:
+        """The ell x N matrix W = c^{-1} L (A'A)^{-1} A' with W'W the
+        hypothesis projection, c the Cholesky factor of L(A'A)^{-1}L'."""
+        return self._a_factors[1]
+
+    @cached_property
+    def group_bases(self) -> tuple[np.ndarray, ...]:
+        """residual_basis of each group's block of A, copied C-contiguous so
+        the singular vectors past the rank are not kept alive.  Raises
+        DegenerateGroupError naming the first group without a residual."""
+        with one_blas_thread():
+            return tuple(
+                _read_only(np.ascontiguousarray(residual_basis(self.A_block(i), group=i)))
+                for i in range(self.g))
 
     def group_slice(self, i: int) -> slice:
         off = self.group_offsets[i]
@@ -328,31 +379,13 @@ def projector(M) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def _hypothesis_root(design: DesignSpec) -> np.ndarray:
-    """The ell x N matrix W = c^{-1} L (A'A)^{-1} A' with W'W the hypothesis
-    projection, c the Cholesky factor of L(A'A)^{-1}L'."""
-    A, L = design.A, design.L
-    G = A.T @ A
-    try:
-        GinvLT = np.linalg.solve(G, L.T)
-    except np.linalg.LinAlgError as exc:
-        raise DesignError(f"A'A is numerically singular: {exc}") from exc
-    GL = L @ GinvLT
-    GL = (GL + GL.T) / 2.0
-    try:
-        c = np.linalg.cholesky(GL)
-    except np.linalg.LinAlgError as exc:
-        raise DesignError("L(A'A)^{-1}L' is numerically singular") from exc
-    return np.linalg.solve(c, (A @ GinvLT).T)
-
-
 def hypothesis_projector(design: DesignSpec, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Projection onto the span of A(A'A)^{-1}L', with its diagonal; with
     rows, only its block between those rows.
 
     The full matrix has rank equal to the number of rows of L.
     """
-    W = _hypothesis_root(design)
+    W = design.hypothesis_root
     if rows is not None:
         W = W[:, rows]
     pi_h = W.T @ W
@@ -368,22 +401,15 @@ def row_compressor(design: DesignSpec) -> np.ndarray:
     compressor is orthogonal and every trace of the test is invariant under
     it (compress skips it), so the identity is returned in its place.
     """
-    B, R = design.B, design.R
-    if R.shape[0] == B.shape[0]:
-        return np.eye(B.shape[0])
-    G = B.T @ B
-    try:
-        GinvRT = np.linalg.solve(G, R.T)  # q x r
-    except np.linalg.LinAlgError as exc:
-        raise DesignError(f"B'B is numerically singular: {exc}") from exc
-    M = R @ GinvRT
-    M = (M + M.T) / 2.0
-    w, V = np.linalg.eigh(M)
-    if w[0] <= EIG_FLOOR * max(w[-1], 0.0) or w[-1] <= 0.0:
+    if design.r == design.p:
+        return np.eye(design.p)
+    GinvRT, M = design._b_factors
+    w, V = np.linalg.eigh((M + M.T) / 2.0)
+    if not positive_definite(w[0], w[-1]):
         raise DesignError(
             f"R(B'B)^{{-1}}R' is not positive definite (min eigenvalue {w[0]:.3e})")
     inv_sqrt = (V / np.sqrt(w)) @ V.T
-    return inv_sqrt @ (GinvRT.T @ B.T)
+    return inv_sqrt @ (GinvRT.T @ design.B.T)
 
 
 def _balancing_weights(S: np.ndarray, h: np.ndarray,
@@ -479,8 +505,7 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     residual, and otherwise NoBalancingSolution when the design does not
     admit balancing weights within tolerance.
     """
-    for i in range(design.g):
-        residual_basis(design.A_block(i), group=i)
+    design.group_bases  # raises DegenerateGroupError, naming the group
     classes = row_classes(design)
     n = classes.sizes.astype(float)
     q = range_basis(design.A)
@@ -494,7 +519,7 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, d=d, e=e,
                            omega=omega)
     idx = classes.index
-    factors = OmegaFactors(w=_hypothesis_root(design), q=q, d=d[idx], e=e[idx])
+    factors = OmegaFactors(w=design.hypothesis_root, q=q, d=d[idx], e=e[idx])
     return ProjectionSet(h_diag=h[idx], compressor=compressor, d=factors.d,
                          balancing_residual=rel, factors=factors,
                          weights=weights)

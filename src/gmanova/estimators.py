@@ -7,12 +7,12 @@ tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
 The estimate is computed here and nowhere else, in two steps:
-variance_design (tau coefficients, omega block sums and the groups'
-residual bases, once per design) and variance_from_data (a2, b and sigma0,
-once per data matrix).  The data step needs tr S_i, tr(S_i S_j) and Q_i
-only: from the r x r scatters when r <= N, and otherwise from the N x N
-Gram matrix G of the stacked centred residuals R_i, since
-tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
+variance_design (tau coefficients and omega block sums, once per design)
+and variance_from_data (a2, b and sigma0, once per data matrix, centring
+each group on its DesignSpec.group_bases).  The data step needs tr S_i,
+tr(S_i S_j) and Q_i only: from the r x r scatters when r <= N, and
+otherwise from the N x N Gram matrix G of the stacked centred
+residuals R_i, since tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
 """
 
 from __future__ import annotations
@@ -117,13 +117,11 @@ class VarianceEstimate:
 
 @dataclass(frozen=True, eq=False)
 class VarianceDesign:
-    """The design step of the estimate: the g x 3 tau coefficients, the
-    g x g omega o omega block sums, and each group's residual_basis, on
-    which the data step centres the group's compressed rows."""
+    """The design step of the estimate: the g x 3 tau coefficients and the
+    g x g omega o omega block sums."""
 
     tau: np.ndarray
     blocks: np.ndarray
-    bases: tuple[np.ndarray, ...]
 
 
 def group_projector(A_i) -> np.ndarray:
@@ -275,20 +273,13 @@ def sigma0_from_blocks(blocks, a2, b) -> float:
 
 
 def variance_design(design: DesignSpec, omega) -> VarianceDesign:
-    """Design step: the tau coefficients, the omega o omega block sums from
-    the ClassWeights of the design (or a dense N x N omega), and the
-    residual bases of the groups."""
+    """Design step: the tau coefficients, and the omega o omega block sums
+    from the ClassWeights of the design (or a dense N x N omega)."""
     tau = np.empty((design.g, 3))
-    bases = []
-    for i in range(design.g):
-        A_i = design.A_block(i)
-        # A copy, so the singular vectors past the rank are not kept alive.
-        U = np.ascontiguousarray(residual_basis(A_i, group=i))
-        tau[i] = tau_coefficients(group_projector(A_i), design.group_sizes[i],
-                                  U.shape[1], group=i)
-        bases.append(U)
-    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes),
-                          bases=tuple(bases))
+    for i, U in enumerate(design.group_bases):
+        tau[i] = tau_coefficients(group_projector(design.A_block(i)),
+                                  design.group_sizes[i], U.shape[1], group=i)
+    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes))
 
 
 def variance_from_data(X, design: DesignSpec, compressor,
@@ -301,15 +292,15 @@ def variance_from_data(X, design: DesignSpec, compressor,
     residuals R: tr(S_i S_j) = ||G_ij||^2 / (m_i m_j), and tr S_i and Q_i
     from the diagonal of G; the scatters are then formed only when read.
     """
-    g = design.g
+    g, bases = design.g, design.group_bases
     slices = [design.group_slice(i) for i in range(g)]
-    k = np.array([U.shape[1] for U in vd.bases])
+    k = np.array([U.shape[1] for U in bases])
     m = np.asarray(design.group_sizes, dtype=float) - k
     if compressor.shape[0] <= X.shape[0]:
         s_list, q = [], np.empty(g)
         for i, sl in enumerate(slices):
             S_i, q[i], _ = group_residual_scatter(
-                X[sl], design.A_block(i), compressor, group=i, basis=vd.bases[i])
+                X[sl], design.A_block(i), compressor, group=i, basis=bases[i])
             s_list.append(S_i)
         tr_s = np.array([np.trace(S) for S in s_list])
         prod = np.empty((g, g))
@@ -321,7 +312,7 @@ def variance_from_data(X, design: DesignSpec, compressor,
     else:
         Y = compress(X, compressor)
         R = np.empty(Y.shape)
-        for sl, U in zip(slices, vd.bases):
+        for sl, U in zip(slices, bases):
             _residuals(Y[sl], U, out=R[sl])
         G = R @ R.T
         sq = G.diagonal().copy()
@@ -333,7 +324,7 @@ def variance_from_data(X, design: DesignSpec, compressor,
         prod /= np.outer(m, m)
         s_read = lambda: tuple(
             group_residual_scatter(X[sl], design.A_block(i), compressor,
-                                   group=i, basis=vd.bases[i])[0]
+                                   group=i, basis=bases[i])[0]
             for i, sl in enumerate(slices))
     a2 = _a2(tr_s, np.diagonal(prod), q, vd.tau, m)
     b = prod

@@ -29,7 +29,7 @@ from .trace_test import TestReport
 MATRIX_KEYS = ("A", "B", "L", "R")
 
 
-def load_dataset(path, layout: str = "grouped", header: bool = False) -> GroupedSample:
+def load_dataset(path, header: bool = False) -> GroupedSample:
     """Read a grouped CSV dataset: first column is the group label, the
     remaining p columns are numeric responses.
 
@@ -38,44 +38,45 @@ def load_dataset(path, layout: str = "grouped", header: bool = False) -> Grouped
     each.  Errors name the file, row, and column (1-based data rows,
     counted after the optional header).
     """
-    if layout != "grouped":
-        raise ConfigError(f"unknown dataset layout {layout!r}; only 'grouped' is supported")
     path = Path(path)
     rows: list[tuple[str, list[float]]] = []
     width = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        data_row = 0
-        for raw_index, cells in enumerate(reader, start=1):
-            if header and raw_index == 1:
-                continue
-            if not cells or all(not c.strip() for c in cells):
-                continue
-            data_row += 1
-            if width is None:
-                width = len(cells)
-                if width < 2:
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            data_row = 0
+            for raw_index, cells in enumerate(reader, start=1):
+                if header and raw_index == 1:
+                    continue
+                if not cells or all(not c.strip() for c in cells):
+                    continue
+                data_row += 1
+                if width is None:
+                    width = len(cells)
+                    if width < 2:
+                        raise ConfigError(
+                            f"{path}: row {data_row}: need a label column plus at "
+                            f"least one response column, got {width} cells")
+                elif len(cells) != width:
                     raise ConfigError(
-                        f"{path}: row {data_row}: need a label column plus at "
-                        f"least one response column, got {width} cells")
-            elif len(cells) != width:
-                raise ConfigError(
-                    f"{path}: row {data_row}: has {len(cells)} cells, "
-                    f"expected {width}")
-            label = cells[0].strip()
-            values = []
-            for col, cell in enumerate(cells[1:], start=2):
-                text = cell.strip()
-                if not text:
-                    raise ConfigError(
-                        f"{path}: row {data_row}, column {col}: empty cell")
-                try:
-                    values.append(float(text))
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{path}: row {data_row}, column {col}: "
-                        f"non-numeric value {cell!r}") from exc
-            rows.append((label, values))
+                        f"{path}: row {data_row}: has {len(cells)} cells, "
+                        f"expected {width}")
+                label = cells[0].strip()
+                values = []
+                for col, cell in enumerate(cells[1:], start=2):
+                    text = cell.strip()
+                    if not text:
+                        raise ConfigError(
+                            f"{path}: row {data_row}, column {col}: empty cell")
+                    try:
+                        values.append(float(text))
+                    except ValueError as exc:
+                        raise ConfigError(
+                            f"{path}: row {data_row}, column {col}: "
+                            f"non-numeric value {cell!r}") from exc
+                rows.append((label, values))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
 
@@ -91,6 +92,13 @@ def load_dataset(path, layout: str = "grouped", header: bool = False) -> Grouped
     sizes = tuple(len(by_label[label]) for label in order)
     return GroupedSample(X=X, group_sizes=sizes, labels=tuple(order),
                          source_rows=np.array(source))
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _load_matrix(path: Path, name: str) -> np.ndarray:
@@ -110,10 +118,7 @@ def load_design(path) -> DesignSpec:
     manifest) and carries "group_sizes".
     """
     path = Path(path)
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path}: manifest must be a JSON object")
     missing = [k for k in (*MATRIX_KEYS, "group_sizes") if k not in manifest]
@@ -253,10 +258,7 @@ def load_config(path) -> dict:
     """Read and schema-validate an experiment configuration; unknown keys
     are rejected before any computation."""
     path = Path(path)
-    try:
-        config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    config = _read_json(path)
     try:
         jsonschema.validate(config, EXPERIMENT_SCHEMA)
     except jsonschema.ValidationError as exc:

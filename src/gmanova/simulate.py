@@ -25,7 +25,6 @@ from .blas import one_blas_thread
 from .covariance import lookup
 from .design import DesignSpec
 from .errors import ConfigError
-from .scenarios import Scenario
 from .trace_test import (
     MeanModel,
     TraceTestEngine,
@@ -237,7 +236,7 @@ def resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
+def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: float = 0.05,
                 reps: int = 1000, seed: int = 0,
                 threads: int | None = None) -> SimulationSummary:
     """Size/power experiment: draw groupwise errors, form the data matrix,
@@ -252,10 +251,8 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
     record on the "gmanova.simulate" logger gives the call's timings.
     """
     start = time.perf_counter()
-    if isinstance(design, Scenario):
-        design = design.design
     if not isinstance(design, DesignSpec):
-        raise ConfigError(f"expected a DesignSpec or Scenario, got {type(design)!r}")
+        raise ConfigError(f"expected a DesignSpec, got {type(design)!r}")
     reps = int(reps)
     if reps < 100:
         raise ConfigError(f"need at least 100 replications, got {reps}")
@@ -293,8 +290,7 @@ def monte_carlo(design, model: MeanModel, distributions, alpha: float = 0.05,
                 run_one(j)
         else:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                list(pool.map(run_one, range(reps),
-                              chunksize=max(1, reps // (8 * n_threads))))
+                list(pool.map(run_one, range(reps)))
 
     rep_s = time.perf_counter() - ready
     _log.info("monte_carlo: set-up %.4f s, covariance cache %d hits %d misses; "

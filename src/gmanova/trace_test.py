@@ -239,8 +239,8 @@ def _compressed_covariance(S, compressor) -> np.ndarray:
 
 
 def _check_covariances(model: MeanModel, design: DesignSpec, entries=None) -> None:
-    """Count, shapes and Cholesky gate of the model's covariances, the
-    verdicts read from their covariance cache entries (looked up when
+    """Count, shapes and positive definiteness of the model's covariances,
+    the verdicts read from their covariance cache entries (looked up when
     omitted)."""
     if len(model.sigmas) != design.g:
         raise ValueError(
@@ -251,7 +251,7 @@ def _check_covariances(model: MeanModel, design: DesignSpec, entries=None) -> No
         if S.shape != (design.p, design.p):
             raise ValueError(
                 f"covariance {i} has shape {S.shape}, expected ({design.p}, {design.p})")
-        if not entry.cholesky_ok(S):
+        if not entry.is_positive_definite(S):
             raise ValueError(f"covariance {i} is not positive definite")
 
 

@@ -212,6 +212,31 @@ class TestCli:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["test", "--data", str(tmp_path / "nope.csv")]) == 2
 
+    def test_non_utf8_data_is_input_error(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes("caf\u00e9,1.0\ncaf\u00e9,2.0\n".encode("latin-1"))
+        assert main(["test", "--data", str(data)]) == 2
+        assert "latin1.csv" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_input_error(self, tmp_path, capsys):
+        design = one_way_manova((5, 6), 3).design
+        data, _ = _dataset_csv(tmp_path, design)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b'{"A": "\xe9.csv"}')
+        assert main(["test", "--data", str(data), "--design", str(manifest)]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "exp.json"
+        f.write_bytes(b'{"reps": 100, "seed": 1, "out": "\xe9.json"}')
+        assert main(["simulate", "--config", str(f)]) == 2
+        assert "exp.json" in capsys.readouterr().err
+
+    def test_overlong_csv_field_is_input_error(self, tmp_path, capsys):
+        data = _write(tmp_path / "long.csv", "a," + "1" * 140_000 + "\na,2\n")
+        assert main(["test", "--data", str(data)]) == 2
+        assert "long.csv" in capsys.readouterr().err
+
     def test_unsolvable_design_exit_code(self, tmp_path):
         design = DesignSpec(A=np.array([[1.0], [2.0]]), B=np.eye(1),
                             L=np.eye(1), R=np.eye(1), group_sizes=(2,))
