@@ -101,3 +101,32 @@ def one_way_a2_permutation(X_i) -> float:
     for k, l, a, b in itertools.permutations(range(n), 4):
         total += float((X_i[k] - X_i[l]) @ (X_i[a] - X_i[b])) ** 2
     return total / (4.0 * math.perm(n, 4))
+
+
+def a2_ratio_by_tuples(psis, omega, group_sizes) -> float:
+    """The diagnostics' a2 ratio by a loop over all g^4 group tuples, from
+    the dense N x N omega: the largest tr(Psi_a Psi_b Psi_c Psi_d) over
+    tuples whose every pair of entries shares a nonzero omega block (0 when
+    none does), over the squared sum of tr(Psi_i Psi_j) on those blocks."""
+    omega = np.asarray(omega, dtype=float)
+    off = omega * omega
+    np.fill_diagonal(off, 0.0)
+    ends = np.cumsum(group_sizes)
+    spans = [slice(int(e - n), int(e)) for e, n in zip(ends, group_sizes)]
+    g = len(spans)
+    active = np.array([[float(np.sum(off[si, sj])) > 0.0 for sj in spans]
+                       for si in spans])
+    psis = [np.asarray(Psi, dtype=float) for Psi in psis]
+    pair = {}
+    b_sum = 0.0
+    for i in range(g):
+        for j in range(g):
+            if active[i, j]:
+                pair[(i, j)] = psis[i] @ psis[j]
+                b_sum += float(np.trace(pair[(i, j)]))
+    worst = 0.0
+    for tup in itertools.product(range(g), repeat=4):
+        if all(active[tup[a], tup[b]] for a in range(4) for b in range(4) if a != b):
+            psi4 = float(np.sum(pair[(tup[0], tup[1])] * pair[(tup[2], tup[3])].T))
+            worst = max(worst, psi4)
+    return worst / b_sum ** 2 if b_sum > 0.0 else float("inf")

@@ -19,7 +19,7 @@ approximation relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from math import sqrt
 
 import numpy as np
@@ -232,10 +232,13 @@ def mean_weight_rows(theta, design: DesignSpec,
 
 
 def _compressed_covariance(S, compressor) -> np.ndarray:
-    """(P S P')' for the row compressor P, through compress: S' itself for a
-    square (orthogonal) P, under which every trace of the test is
-    invariant."""
-    return compress(compress(S, compressor).T, compressor)
+    """The symmetric part of (P S P')' for the row compressor P, through
+    compress (S' itself for a square, orthogonal P, under which every trace
+    of the test is invariant).  Every gate judges a covariance by its
+    symmetric part, so the traces are those of symmetric matrices; for an
+    exactly symmetric S the symmetrization changes no bit."""
+    Psi = compress(compress(S, compressor).T, compressor)
+    return (Psi + Psi.T) / 2.0
 
 
 def _check_covariances(model: MeanModel, design: DesignSpec, entries=None) -> None:
@@ -269,10 +272,7 @@ def sigma_full(model: MeanModel, design: DesignSpec,
             f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
     proj = projections if projections is not None else build_projections(design)
     g = design.g
-    psis = []
-    for S in model.sigmas:
-        Psi = _compressed_covariance(S, proj.compressor)
-        psis.append((Psi + Psi.T) / 2.0)
+    psis = [_compressed_covariance(S, proj.compressor) for S in model.sigmas]
     a = np.array([float(np.sum(Psi * Psi)) for Psi in psis])
     b = np.zeros((g, g))
     for i in range(g):
@@ -320,11 +320,12 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
     """Diagnostics for the regularity conditions behind the normal limit.
 
     omega is the ClassWeights of the design or a dense N x N weight matrix.
-    psis are the compressed per-group covariances (population matrices in
-    simulation mode, sample scatters in plug-in mode).  m_rows/sigmas feed
-    the mean-concentration ratio, m_rows with one row per row class of
-    ClassWeights or per row of a dense omega; when omitted (plug-in mode, or
-    a model whose weighted means vanish) that ratio is exactly 0.
+    psis are the symmetric compressed per-group covariances (population
+    matrices in simulation mode, sample scatters in plug-in mode).
+    m_rows/sigmas feed the mean-concentration ratio, m_rows with one row per
+    row class of ClassWeights or per row of a dense omega; when omitted
+    (plug-in mode, or a model whose weighted means vanish) that ratio is
+    exactly 0.
     """
     sizes = tuple(int(n) for n in group_sizes)
     g = len(sizes)
@@ -346,18 +347,21 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
     psis = [np.asarray(Psi, dtype=float) for Psi in psis]
     if len(psis) != g:
         raise ValueError(f"{len(psis)} compressed covariances for {g} groups")
-    pair = {}
+    # One row of V per active pair: the product Psi_a Psi_b, flattened.  For
+    # symmetric psis tr(Psi_a Psi_b Psi_c Psi_d) = <Psi_a Psi_b, Psi_d Psi_c>,
+    # so the Gram matrix V V' holds every fourth-order trace.
+    pairs = [(i, j) for i in range(g) for j in range(g) if active[i, j]]
+    r = psis[0].shape[0]
+    V = np.empty((len(pairs), r * r))
     b_sum = 0.0
-    for i in range(g):
-        for j in range(g):
-            if active[i, j]:
-                pair[(i, j)] = psis[i] @ psis[j]
-                b_sum += float(np.trace(pair[(i, j)]))
+    for k, (i, j) in enumerate(pairs):
+        b_sum += float(np.trace(np.matmul(psis[i], psis[j], out=V[k].reshape(r, r))))
+    M = V @ V.T
+    row = {pair: k for k, pair in enumerate(pairs)}
     worst = 0.0
-    for tup in product(range(g), repeat=4):
-        if all(active[tup[a], tup[b]] for a in range(4) for b in range(4) if a != b):
-            psi4 = float(np.sum(pair[(tup[0], tup[1])] * pair[(tup[2], tup[3])].T))
-            worst = max(worst, psi4)
+    for a, b, c, d in product(range(g), repeat=4):
+        if all(active[x, y] for x, y in permutations((a, b, c, d), 2)):
+            worst = max(worst, float(M[row[a, b], row[d, c]]))
     a2_ratio = worst / b_sum ** 2 if b_sum > 0.0 else float("inf")
 
     if m_rows is None:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmanova
 from gmanova import (
     ConfigError,
     DesignSpec,
@@ -330,3 +335,13 @@ class TestCli:
         assert main(["test", "--data", str(shuffled), "--design", str(manifest)]) == 2
         err = capsys.readouterr().err
         assert "shuffled.csv" in err and "group 0" in err
+
+
+def test_cli_import_leaves_jsonschema_out():
+    """Only config loading needs jsonschema; `gmanova test` does not pay
+    for importing it."""
+    src = str(Path(gmanova.__file__).resolve().parents[1])
+    code = "import sys, gmanova.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
