@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignSpec, build_projections, row_classes
+from .design import DesignSpec, row_classes
 from .errors import ConfigError, DesignError, GroupError, NoBalancingSolution
 from .io import (
     load_config,
@@ -190,10 +190,6 @@ def cmd_test(args) -> int:
                                    levels=args.levels,
                                    effect=args.effect)
         design = scenario.design
-    if sample.p != design.p:
-        raise ConfigError(
-            f"data has p={sample.p} response columns but design B has "
-            f"p={design.p} rows")
     report = run_test(sample, design, args.alpha, diagnostics=args.diagnostics)
     invocation = {"data": str(args.data), "design": str(args.design),
                   "scenario": args.scenario, "alpha": args.alpha,
@@ -232,7 +228,7 @@ def cmd_diagnose(args) -> int:
     config = load_config(args.config)
     base = Path(args.config).parent
     design, model, dists, alpha, _, seed = build_experiment(config, base)
-    proj = build_projections(design)
+    proj = design.projections
     ok = True
     ok &= _check("hat projection idempotent",
                  float(np.max(np.abs(proj.pi_a @ proj.pi_a - proj.pi_a))) <= 1e-10)

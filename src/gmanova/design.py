@@ -101,8 +101,8 @@ class DesignSpec:
     A is N x k (rank k), B is p x q (rank q), L is ell x k (rank ell),
     R is r x q (rank r), and group_sizes gives the g block sizes of the
     row partition of A/X (observations in one group share a covariance).
-    Its factorizations are computed once, at one BLAS thread so their bits
-    do not depend on which caller came first, and are read-only.
+    Its factorizations and projections are computed once, read-only and at
+    one BLAS thread, so their bits do not depend on which caller came first.
     """
 
     A: np.ndarray
@@ -138,7 +138,7 @@ class DesignSpec:
             raise DesignError(f"need r <= q <= p, got r={r}, q={q}, p={p}")
         for name, M, want in (("A", self.A, k), ("B", self.B, q),
                               ("L", self.L, ell), ("R", self.R, r)):
-            got = numerical_rank(M)
+            got = self.a_basis.shape[1] if M is self.A else numerical_rank(M)
             if got != want:
                 raise DesignError(f"{name} must have full rank {want}, got {got}")
 
@@ -174,6 +174,12 @@ class DesignSpec:
     def group_offsets(self) -> tuple[int, ...]:
         offs = np.concatenate(([0], np.cumsum(self.group_sizes[:-1])))
         return tuple(int(o) for o in offs)
+
+    @cached_property
+    def a_basis(self) -> np.ndarray:
+        """range_basis(A), the orthonormal Q with pi_a = QQ' and rank(A) columns."""
+        with one_blas_thread():
+            return _read_only(range_basis(self.A))
 
     @cached_property
     def _a_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +231,12 @@ class DesignSpec:
             return tuple(
                 _read_only(np.ascontiguousarray(residual_basis(self.A_block(i), group=i)))
                 for i in range(self.g))
+
+    @cached_property
+    def projections(self) -> ProjectionSet:
+        """build_projections(self), read-only: the one build every caller reads."""
+        with one_blas_thread():
+            return build_projections(self)
 
     def group_slice(self, i: int) -> slice:
         off = self.group_offsets[i]
@@ -508,7 +520,7 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     design.group_bases  # raises DegenerateGroupError, naming the group
     classes = row_classes(design)
     n = classes.sizes.astype(float)
-    q = range_basis(design.A)
+    q = design.a_basis
     q_u = q[classes.first]
     pi_a = q_u @ q_u.T
     pi_a = (pi_a + pi_a.T) / 2.0
@@ -516,11 +528,13 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     compressor = row_compressor(design)
     d, e, rel = _balancing_weights(pi_a, h, n)
     omega = build_omega(pi_h, pi_a, d, n)
+    h, row_d, row_e = h[classes.index], d[classes.index], e[classes.index]
+    for M in (*vars(classes).values(), pi_a, pi_h, d, e, omega, compressor, h, row_d, row_e):
+        _read_only(M)
     weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, d=d, e=e,
                            omega=omega)
-    idx = classes.index
-    factors = OmegaFactors(w=design.hypothesis_root, q=q, d=d[idx], e=e[idx])
-    return ProjectionSet(h_diag=h[idx], compressor=compressor, d=factors.d,
+    factors = OmegaFactors(w=design.hypothesis_root, q=q, d=row_d, e=row_e)
+    return ProjectionSet(h_diag=h, compressor=compressor, d=row_d,
                          balancing_residual=rel, factors=factors,
                          weights=weights)
 

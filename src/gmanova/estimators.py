@@ -23,14 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import (
-    DesignSpec,
-    ProjectionSet,
-    build_projections,
-    omega_sq_block_sums,
-    projector,
-    residual_basis,
-)
+from .design import DesignSpec, omega_sq_block_sums, projector, residual_basis
 from .errors import ConfigError, DegenerateGroupError, DesignError, EstimatorUndefinedError
 
 
@@ -124,14 +117,11 @@ class VarianceDesign:
     blocks: np.ndarray
 
 
-def group_projector(A_i) -> np.ndarray:
-    """Projector onto the column space of a per-group design block; an
-    all-zero block (the group contributes nothing to the mean) maps to the
-    zero projector."""
-    A_i = np.asarray(A_i, dtype=float)
-    if not np.any(A_i):
-        return np.zeros((A_i.shape[0], A_i.shape[0]))
-    return projector(A_i)
+def group_projector(U) -> np.ndarray:
+    """U U' for a group's orthonormal basis U in DesignSpec.group_bases, so
+    it and k_i come from one SVD: through projector, whose cutoff keeps every
+    column of an orthonormal U, or zero for a 0-column U (an all-zero block)."""
+    return projector(U) if U.shape[1] else np.zeros((U.shape[0], U.shape[0]))
 
 
 def compress(X, compressor) -> np.ndarray:
@@ -277,8 +267,8 @@ def variance_design(design: DesignSpec, omega) -> VarianceDesign:
     from the ClassWeights of the design (or a dense N x N omega)."""
     tau = np.empty((design.g, 3))
     for i, U in enumerate(design.group_bases):
-        tau[i] = tau_coefficients(group_projector(design.A_block(i)),
-                                  design.group_sizes[i], U.shape[1], group=i)
+        tau[i] = tau_coefficients(group_projector(U), design.group_sizes[i],
+                                  U.shape[1], group=i)
     return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes))
 
 
@@ -334,8 +324,7 @@ def variance_from_data(X, design: DesignSpec, compressor,
                             group_sizes=design.group_sizes, scatters=s_read)
 
 
-def estimate_variance(sample: GroupedSample, design: DesignSpec,
-                      projections: ProjectionSet | None = None) -> VarianceEstimate:
+def estimate_variance(sample: GroupedSample, design: DesignSpec) -> VarianceEstimate:
     """Full variance-estimation pipeline over all groups of a sample."""
     if tuple(sample.group_sizes) != tuple(design.group_sizes):
         raise ConfigError(
@@ -345,6 +334,5 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec,
         raise ConfigError(
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
-    proj = projections if projections is not None else build_projections(design)
-    return variance_from_data(sample.X, design, proj.compressor,
-                              variance_design(design, proj.weights))
+    return variance_from_data(sample.X, design, design.projections.compressor,
+                              variance_design(design, design.projections.weights))

@@ -35,15 +35,20 @@ def load_dataset(path, header: bool = False) -> GroupedSample:
     Rows need not arrive sorted; they are reordered group-contiguously in
     first-appearance label order, and the sample records the file row of
     each.  Regular files are parsed in one pass (_parse_regular); any other
-    file is parsed cell by cell (_parse_by_cells), whose errors name the
-    file, row, and column (1-based data rows, counted after the optional
-    header).  The one-pass reader exists because csv.reader alone takes
-    about as long as the float() calls: csv.reader rows with one bulk
-    conversion are no faster than the per-cell loop.
+    file is parsed cell by cell (_parse_by_cells), whose errors, like that
+    of a non-finite cell, name the file, row, and column (1-based data rows,
+    counted after the optional header).  The one-pass reader exists because
+    csv.reader alone takes about as long as the float() calls: csv.reader
+    rows with one bulk conversion are no faster than the per-cell loop.
     """
     path = Path(path)
     parsed = _parse_regular(path, header)
     labels, X = parsed if parsed is not None else _parse_by_cells(path, header)
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(f"{path}: row {row + 1}, column {col + 2}: "
+                          f"non-finite value {float(X[row, col])!r}")
 
     order: list[str] = []
     by_label: dict[str, list[int]] = {}

@@ -273,7 +273,7 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
         entries, hits, misses = lookup(model.sigmas)
         engine = TraceTestEngine(design, alpha)
         q = true_q(model.theta, design)
-        sigma2, sigma0_sq = sigma_full(model, design, engine.projections, entries)
+        sigma2, sigma0_sq = sigma_full(model, design, entries=entries)
         predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
         draw = replication_sampler(design, model, dists, entries)
         ready = time.perf_counter()

@@ -30,7 +30,6 @@ from .design import (
     DesignSpec,
     OmegaFactors,
     ProjectionSet,
-    build_projections,
     class_pairs,
     group_spans,
     omega_sq_block_sums,
@@ -145,7 +144,7 @@ class TraceTestEngine:
     def __init__(self, design: DesignSpec, alpha: float = 0.05):
         self.design = design
         self.alpha = _check_alpha(alpha)
-        self.projections = build_projections(design)
+        self.projections = design.projections
         self._variance = variance_design(design, self.projections.weights)
 
     @property
@@ -185,8 +184,8 @@ def run_test(sample: GroupedSample, design: DesignSpec, alpha: float = 0.05,
     population compressed covariances, marked heuristic).
     """
     alpha = _check_alpha(alpha)
-    proj = build_projections(design)
-    est = estimate_variance(sample, design, proj)
+    est = estimate_variance(sample, design)  # checks the sample first
+    proj = design.projections
     t = statistic_t(sample.X, proj.compressor, proj.factors)
     z, p_value, reject, degenerate = _decide(t, est.sigma0_sq, alpha)
     diag = None
@@ -218,13 +217,12 @@ def _class_means(theta, design: DesignSpec, proj: ProjectionSet) -> np.ndarray:
     return compress(A_u @ np.asarray(theta, dtype=float) @ design.B.T, proj.compressor)
 
 
-def mean_weight_rows(theta, design: DesignSpec,
-                     projections: ProjectionSet | None = None) -> np.ndarray:
+def mean_weight_rows(theta, design: DesignSpec) -> np.ndarray:
     """u x p matrix, one row per row class: the omega-weighted mean
     direction the statistic's cross term projects the error of each row of
     the class onto, sum_{j != i} omega_ij (A theta B' P')_j P (P' P = I
     for a square P, which is skipped)."""
-    proj = projections if projections is not None else build_projections(design)
+    proj = design.projections
     w = proj.weights
     coef = w.omega * w.classes.sizes
     coef[np.diag_indices_from(coef)] -= np.diag(w.omega)
@@ -263,14 +261,14 @@ def sigma_full(model: MeanModel, design: DesignSpec,
                entries=None) -> tuple[float, float]:
     """Exact variance decomposition (sigma_sq, sigma0_sq) of the statistic
     under the model; the two coincide when the null holds, and are equal
-    without the mean terms when A theta B' is exactly zero.  entries are
-    the covariance cache entries of model.sigmas (looked up when
-    omitted)."""
+    without the mean terms when A theta B' is exactly zero.  projections
+    are the design's (design.projections when omitted) and entries the
+    covariance cache entries of model.sigmas (looked up when omitted)."""
     _check_covariances(model, design, entries)
     if model.theta.shape != (design.k, design.q):
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
-    proj = projections if projections is not None else build_projections(design)
+    proj = design.projections if projections is None else projections
     g = design.g
     psis = [_compressed_covariance(S, proj.compressor) for S in model.sigmas]
     a = np.array([float(np.sum(Psi * Psi)) for Psi in psis])
@@ -283,7 +281,7 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     classes = proj.weights.classes
     if not np.any(design.A[classes.first] @ model.theta @ design.B.T):
         return sigma0_sq, sigma0_sq
-    spread = _mean_term_spread(mean_weight_rows(model.theta, design, proj),
+    spread = _mean_term_spread(mean_weight_rows(model.theta, design),
                                model.sigmas, group_spans(classes.group, g))
     return sigma0_sq + 4.0 * float(classes.sizes @ spread), sigma0_sq
 
@@ -382,15 +380,13 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
                              group_imbalance=float(max(sizes)) / float(min(sizes)))
 
 
-def model_diagnostics(model: MeanModel, design: DesignSpec,
-                      projections: ProjectionSet | None = None,
+def model_diagnostics(model: MeanModel, design: DesignSpec, *,
                       d1_bound: float | None = None) -> DiagnosticsReport:
     """Population-mode diagnostics for a fully specified model."""
     _check_covariances(model, design)
-    proj = projections if projections is not None else build_projections(design)
-    P = proj.compressor
-    psis = [_compressed_covariance(S, P) for S in model.sigmas]
-    m_rows = mean_weight_rows(model.theta, design, proj)
+    proj = design.projections
+    psis = [_compressed_covariance(S, proj.compressor) for S in model.sigmas]
+    m_rows = mean_weight_rows(model.theta, design)
     m_scale = float(np.max(np.abs(_class_means(model.theta, design, proj)), initial=0.0))
     return assumption_diagnostics(psis, proj.weights, design.group_sizes,
                                   m_rows=m_rows, sigmas=model.sigmas,

@@ -15,6 +15,7 @@ from gmanova import (
     one_way_manova,
     run_test,
 )
+from gmanova import io
 from gmanova.cli import main
 from gmanova.io import (
     config_hash,
@@ -213,6 +214,33 @@ class TestCli:
                      str(emit / "manifest.json")]) == 2
         err = capsys.readouterr().err
         assert "p=3" in err and "p=7" in err
+
+    @pytest.mark.parametrize("unsolvable", [False, True])
+    def test_design_with_wrong_p_is_input_error(self, tmp_path, capsys, unsolvable):
+        """The p check comes before the design build, so a design with no
+        balancing solution also exits 2, not 3."""
+        if unsolvable:
+            design = DesignSpec(A=np.array([[1.0], [2.0]]), B=np.eye(1),
+                                L=np.eye(1), R=np.eye(1), group_sizes=(2,))
+            data = _write(tmp_path / "two.csv", "a,1.0,2.0\na,3.0,4.0\n")
+        else:
+            design = one_way_manova((5, 5), 1).design
+            data, _ = _dataset_csv(tmp_path, one_way_manova((5, 5), 2).design)
+        manifest = write_design(design, tmp_path / "design")
+        assert main(["test", "--data", str(data), "--design", str(manifest)]) == 2
+        assert ("error: data has p=2 response columns but design B has p=1 rows"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, one_pass, where", [
+        ("a,1,2\nb,3,4\na,5,nan\nb,7,8\n", True, "row 3, column 3: non-finite value nan"),
+        ('"a",1,2\nb,3,4\na,inf,6\nb,7,8\n', False, "row 3, column 2: non-finite value inf"),
+    ])
+    def test_non_finite_cell_names_position(self, tmp_path, capsys, text, one_pass, where):
+        """Rows are counted in file order, before regrouping, on either parser."""
+        data = _write(tmp_path / "nf.csv", text)
+        assert (io._parse_regular(data, False) is not None) == one_pass
+        assert main(["test", "--data", str(data)]) == 2
+        assert f"error: {data}: {where}\n" in capsys.readouterr().err
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["test", "--data", str(tmp_path / "nope.csv")]) == 2

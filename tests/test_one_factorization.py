@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from gmanova import (
     ConfigError,
     CovarianceSpec,
+    DesignSpec,
     ErrorDistribution,
     GroupedSample,
     MeanModel,
@@ -167,30 +168,40 @@ def _bits(summary) -> tuple:
 
 
 def test_factors_first_computed_at_two_blas_threads_change_no_bits():
-    """The design factors are computed at one BLAS thread whoever asks
-    first: a design first used by run_test at two BLAS threads gives the
-    same Monte Carlo summary as a fresh one."""
+    """The design factors and projections are computed at one BLAS thread
+    whoever asks first: a design first used by run_test at two BLAS threads
+    gives the same Monte Carlo summary as a fresh one.  The covariate design
+    (a covariate on every row, so u = N) has a build whose N x N products
+    change bits with the thread count."""
     api = openblas_threads()
     if api is None:
         pytest.skip("the thread count of numpy's BLAS is not reachable")
     get, set_ = api
 
-    def make():
+    def growth():
         return growth_curve((150, 200), 40, 2).design
 
+    def covariate():
+        base = one_way_manova((150, 150), 40).design
+        z = np.random.default_rng(1).normal(size=(base.N, 1))
+        return DesignSpec(A=np.hstack([base.A, z]), B=base.B,
+                          L=np.hstack([base.L, np.zeros((1, 1))]), R=base.R,
+                          group_sizes=base.group_sizes)
+
     p = 40
-    model = MeanModel(np.zeros((2, 3)),
-                      (np.eye(p), CovarianceSpec(kind="ar1", rho=0.5).matrix(p)))
+    sigmas = (np.eye(p), CovarianceSpec(kind="ar1", rho=0.5).matrix(p))
     dist = ErrorDistribution.elliptical_t(8.0)
-    used = make()
-    X = np.random.default_rng(3).normal(size=(used.N, p))
-    before = get()
-    set_(2)
-    try:
-        run_test(GroupedSample(X, used.group_sizes), used)
-    finally:
-        set_(before)
-    assert "_a_factors" in vars(used) and "group_bases" in vars(used)
-    warm = monte_carlo(used, model, dist, reps=100, seed=7, threads=2)
-    fresh = monte_carlo(make(), model, dist, reps=100, seed=7, threads=2)
-    assert _bits(warm) == _bits(fresh)
+    for make in (growth, covariate):
+        used = make()
+        model = MeanModel(np.zeros((used.k, used.q)), sigmas)
+        X = np.random.default_rng(3).normal(size=(used.N, p))
+        before = get()
+        set_(2)
+        try:
+            run_test(GroupedSample(X, used.group_sizes), used)
+        finally:
+            set_(before)
+        assert {"_a_factors", "group_bases", "a_basis", "projections"} <= set(vars(used))
+        warm = monte_carlo(used, model, dist, reps=100, seed=7, threads=2)
+        fresh = monte_carlo(make(), model, dist, reps=100, seed=7, threads=2)
+        assert _bits(warm) == _bits(fresh), make.__name__

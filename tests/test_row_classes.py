@@ -167,7 +167,7 @@ def test_class_build_matches_dense_build(layout, data):
     pre = design.A @ model.theta @ design.B.T @ proj.compressor.T
     want = assumption_diagnostics(psis, omega, sizes, m_rows=M, sigmas=model.sigmas,
                                   m_scale=float(np.max(np.abs(pre))))
-    assert same_report(model_diagnostics(model, design, proj), want)
+    assert same_report(model_diagnostics(model, design), want)
 
     try:
         report = run_test(GroupedSample(X, sizes), design, diagnostics=True)
@@ -175,7 +175,7 @@ def test_class_build_matches_dense_build(layout, data):
         event("built, no variance estimate")
         return
     event("built and tested")
-    scatters = estimate_variance(GroupedSample(X, sizes), design, proj).s
+    scatters = estimate_variance(GroupedSample(X, sizes), design).s
     want = assumption_diagnostics(scatters, omega, sizes, heuristic=True)
     assert same_report(report.diagnostics, want)
 

@@ -236,7 +236,7 @@ class TestDualEstimationPaths:
         X = rng.normal(size=(design.N, design.p)) + 0.5
         t_fast, a2_fast, b_fast, s0_fast = engine.statistics(X)
         proj = build_projections(design)
-        est = estimate_variance(GroupedSample(X, design.group_sizes), design, proj)
+        est = estimate_variance(GroupedSample(X, design.group_sizes), design)
         assert t_fast == pytest.approx(
             statistic_t(X, proj.compressor, proj.omega), rel=1e-12)
         assert np.allclose(a2_fast, est.a2, rtol=1e-10)
