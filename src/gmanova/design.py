@@ -238,6 +238,19 @@ class DesignSpec:
         with one_blas_thread():
             return build_projections(self)
 
+    @cached_property
+    def variance_design(self):
+        """The design step of the variance estimate (estimators.variance_design
+        of the class weights): the tau coefficients and the omega o omega
+        block sums, read-only, the one every engine and estimate reads."""
+        from .estimators import variance_design
+
+        with one_blas_thread():
+            vd = variance_design(self, self.projections.weights)
+        _read_only(vd.tau)
+        _read_only(vd.blocks)
+        return vd
+
     def group_slice(self, i: int) -> slice:
         off = self.group_offsets[i]
         return slice(off, off + self.group_sizes[i])
@@ -321,15 +334,19 @@ class OmegaFactors:
     d: np.ndarray
     e: np.ndarray
 
-    def quadratic_form(self, Y) -> float:
+    def quadratic_form(self, Y):
         """tr(Y' omega Y) = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2
-        - sum_i e_i ||y_i||^2, in O(N (ell + k) r) for an N x r matrix Y."""
-        WY = self.w @ Y
-        CY = self.q @ (self.q.T @ Y)
-        np.subtract(Y, CY, out=CY)
-        return float(np.einsum("ij,ij->", WY, WY)
-                     - self.d @ np.einsum("ij,ij->i", CY, CY)
-                     - self.e @ np.einsum("ij,ij->i", Y, Y))
+        - sum_i e_i ||y_i||^2, in O(N (ell + k) r) for an N x r matrix Y;
+        for a (B, N, r) stack, an array of B values, from products with the
+        matrices side by side."""
+        r = Y.shape[-1]
+        Z = side_by_side(Y)
+        WZ = self.w @ Z
+        CZ = self.q @ (self.q.T @ Z)
+        np.subtract(Z, CZ, out=CZ)
+        t = (np.einsum("ij,ij->j", WZ, WZ).reshape(-1, r).sum(axis=1)
+             - self.d @ block_sq_norms(CZ, r) - self.e @ block_sq_norms(Z, r))
+        return float(t[0]) if Y.ndim == 2 else t
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,6 +382,27 @@ class ProjectionSet:
         omega = self.weights.expand(self.weights.omega)
         np.fill_diagonal(omega, 0.0)
         return _read_only(omega)
+
+
+def side_by_side(Y) -> np.ndarray:
+    """The matrices of a (B, N, r) stack side by side, as the N x (B r)
+    matrix [Y_1 ... Y_B]: a view when the stack's memory runs over N first
+    (a transposed (N, B, r) array), else a copy.  An N x r matrix is
+    returned as it is."""
+    return Y if Y.ndim == 2 else Y.swapaxes(0, 1).reshape(Y.shape[1], -1)
+
+
+def block_sq_norms(Z, r: int) -> np.ndarray:
+    """N x B squared norms of the rows of each r-column block of a
+    side-by-side matrix Z.  Rows of 8 or more columns are summed in one
+    pass; shorter ones are squared and summed by a matrix-vector product,
+    as einsum's inner loop is slow on a few columns."""
+    rows = Z.reshape(-1, r)
+    if r >= 8:
+        sq = np.einsum("ij,ij->i", rows, rows)
+    else:
+        sq = np.square(rows) @ np.ones(r)
+    return sq.reshape(Z.shape[0], -1)
 
 
 def _read_only(M: np.ndarray) -> np.ndarray:

@@ -7,12 +7,13 @@ tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
 The estimate is computed here and nowhere else, in two steps:
-variance_design (tau coefficients and omega block sums, once per design)
-and variance_from_data (a2, b and sigma0, once per data matrix, centring
-each group on its DesignSpec.group_bases).  The data step needs tr S_i,
-tr(S_i S_j) and Q_i only: from the r x r scatters when r <= N, and
-otherwise from the N x N Gram matrix G of the stacked centred
-residuals R_i, since tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
+variance_design (tau coefficients and omega block sums, once per design,
+cached as DesignSpec.variance_design) and variance_stack (a2, b and sigma0
+for each matrix of a stack of compressed rows, centring each group on its
+DesignSpec.group_bases); variance_from_data is its one-matrix case.  The
+data step needs tr S_i, tr(S_i S_j) and Q_i only: from the r x r scatters
+when r <= N, and otherwise from the N x N Gram matrix G of the stacked
+centred residuals R_i, since tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
 """
 
 from __future__ import annotations
@@ -23,7 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .design import DesignSpec, omega_sq_block_sums, projector, residual_basis
+from .design import (
+    DesignSpec,
+    omega_sq_block_sums,
+    projector,
+    block_sq_norms,
+    residual_basis,
+    side_by_side,
+)
 from .errors import ConfigError, DegenerateGroupError, DesignError, EstimatorUndefinedError
 
 
@@ -125,16 +133,17 @@ def group_projector(U) -> np.ndarray:
 
 
 def compress(X, compressor) -> np.ndarray:
-    """Rows of X mapped by the design's row compressor P (PP' = I_r).
+    """Rows of X (a matrix or a stack of them) mapped by the design's row
+    compressor P (PP' = I_r).
 
     A square compressor is orthogonal and every trace the test uses is
-    invariant under it, so it is skipped.
+    invariant under it, so it is skipped; so is None, for rows that are
+    already compressed.
     """
     X = np.asarray(X, dtype=float)
-    compressor = np.asarray(compressor, dtype=float)
-    if compressor.shape[0] == compressor.shape[1]:
+    if compressor is None or compressor.shape[0] == compressor.shape[1]:
         return X
-    return X @ compressor.T
+    return X @ np.asarray(compressor, dtype=float).T
 
 
 def _residuals(Y, U, out=None) -> np.ndarray:
@@ -144,29 +153,42 @@ def _residuals(Y, U, out=None) -> np.ndarray:
     return np.subtract(Y, fit, out=fit if out is None else out)
 
 
+def _blocks(Z, r: int) -> np.ndarray:
+    """The r-column blocks of a side-by-side matrix Z as a (B, N, r) view.
+    A product of this stack with its own transpose is one symmetric rank-k
+    update per matrix, bitwise the 2-D Z_b'Z_b or Z_b Z_b'."""
+    return Z.reshape(Z.shape[0], -1, r).swapaxes(0, 1)
+
+
 def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0, basis=None):
     """Compressed residual scatter of one group.
 
     Returns (S_i, Q_i, k_i) where S_i is the r x r scatter of the compressed
     residuals divided by N_i - k_i, Q_i the matching fourth-order statistic,
     and k_i the numerical rank of the group design block.  The rows are
-    compressed first, then centred on the orthonormal basis of A_i: basis,
-    when given, else residual_basis(A_i).
+    compressed first (compressor None: they already are), then centred on
+    the orthonormal basis of A_i: basis, when given, else
+    residual_basis(A_i).  For a (B, N_i, .) stack of the group's rows, S_i
+    is (B, r, r) and Q_i an array of B values.
     """
     X_i = np.asarray(X_i, dtype=float)
     A_i = np.asarray(A_i, dtype=float)
-    n_i = X_i.shape[0]
+    n_i = X_i.shape[-2]
     if A_i.shape[0] != n_i:
         raise DesignError(
             f"group {group}: A block has {A_i.shape[0]} rows but data has {n_i}")
     U = residual_basis(A_i, group=group) if basis is None else basis
     k_i = U.shape[1]
     m = n_i - k_i
-    resid = _residuals(compress(X_i, compressor), U)
-    S = resid.T @ resid
+    Y = compress(X_i, compressor)
+    r = Y.shape[-1]
+    resid = _residuals(side_by_side(Y), U)
+    blocks = _blocks(resid, r)
+    S = blocks.swapaxes(1, 2) @ blocks
     S /= m
-    sq = np.einsum("ij,ij->i", resid, resid)
-    return S, float(sq @ sq) / m, k_i
+    sq = block_sq_norms(resid, r)
+    Q = np.einsum("ib,ib->b", sq, sq) / m
+    return (S, Q, k_i) if Y.ndim == 3 else (S[0], float(Q[0]), k_i)
 
 
 def tau_coefficients(pi_a_i, n_i: int, k_i: int, *, group: int = 0):
@@ -250,16 +272,20 @@ def sigma0_hat(omega, v) -> float:
 
 
 def _block_coef(a2, b) -> np.ndarray:
-    """g x g coefficients: a2 on the diagonal, b off it."""
+    """g x g coefficients, a2 on the diagonal and b off it; for stacks of
+    a2 (..., g) and b (..., g, g), one such matrix per matrix."""
     coef = np.array(b, dtype=float)
-    np.fill_diagonal(coef, a2)
+    diag = np.arange(coef.shape[-1])
+    coef[..., diag, diag] = a2
     return coef
 
 
-def sigma0_from_blocks(blocks, a2, b) -> float:
+def sigma0_from_blocks(blocks, a2, b):
     """sigma0_hat contracted over the g x g omega o omega block sums:
-    2 sum(blocks o coef), a2 on the diagonal of coef and b off it."""
-    return 2.0 * float(np.sum(blocks * _block_coef(a2, b)))
+    2 sum(blocks o coef), a2 on the diagonal of coef and b off it; for
+    stacks of a2 and b, an array of one value per matrix."""
+    s = 2.0 * np.sum(blocks * _block_coef(a2, b), axis=(-2, -1))
+    return float(s) if s.ndim == 0 else s
 
 
 def variance_design(design: DesignSpec, omega) -> VarianceDesign:
@@ -272,55 +298,75 @@ def variance_design(design: DesignSpec, omega) -> VarianceDesign:
     return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes))
 
 
-def variance_from_data(X, design: DesignSpec, compressor,
-                       vd: VarianceDesign) -> VarianceEstimate:
-    """Data step: a2 and b estimates and sigma0_sq for one N x p data
-    matrix, given the design step.
+def variance_stack(Y, design: DesignSpec, vd: VarianceDesign):
+    """Data step for a (B, N, r) stack of compressed rows, given the design
+    step: (q, a2, b, sigma0_sq, S) with q and a2 (B, g), b (B, g, g) with a
+    zero diagonal, sigma0_sq (B,), and S the g group scatters, each
+    (B, r, r), when they were formed (r <= N), else None.
 
     With r <= N the r x r group scatters give tr S_i, tr(S_i S_j) and Q_i.
     With r > N they come from G = R R' for the N x r stacked centred
     residuals R: tr(S_i S_j) = ||G_ij||^2 / (m_i m_j), and tr S_i and Q_i
-    from the diagonal of G; the scatters are then formed only when read.
+    from the diagonal of G.  The rows are centred with the matrices side
+    by side, the r x r and N x N products are formed per matrix, and
+    everything after them is one vectorised step over the stack.
     """
+    n, N, r = Y.shape
     g, bases = design.g, design.group_bases
-    slices = [design.group_slice(i) for i in range(g)]
-    k = np.array([U.shape[1] for U in bases])
-    m = np.asarray(design.group_sizes, dtype=float) - k
-    if compressor.shape[0] <= X.shape[0]:
-        s_list, q = [], np.empty(g)
-        for i, sl in enumerate(slices):
-            S_i, q[i], _ = group_residual_scatter(
-                X[sl], design.A_block(i), compressor, group=i, basis=bases[i])
-            s_list.append(S_i)
-        tr_s = np.array([np.trace(S) for S in s_list])
-        prod = np.empty((g, g))
+    m = np.asarray(design.group_sizes, dtype=float) - [U.shape[1] for U in bases]
+    if r <= N:
+        S, q, tr_s = [], np.empty((n, g)), np.empty((n, g))
+        for i, U in enumerate(bases):
+            S_i, q[:, i], _ = group_residual_scatter(
+                Y[:, design.group_slice(i)], design.A_block(i), None, group=i, basis=U)
+            tr_s[:, i] = np.trace(S_i, axis1=1, axis2=2)
+            S.append(S_i)
+        prod = np.empty((n, g, g))
         for i in range(g):
             for j in range(i, g):
-                prod[i, j] = prod[j, i] = b_hat(s_list[i], s_list[j])
-        scatters = tuple(s_list)
+                prod[:, i, j] = prod[:, j, i] = np.einsum("bxy,bxy->b", S[i], S[j])
+    else:
+        Z = side_by_side(Y)
+        R = np.empty(Z.shape)
+        for i, U in enumerate(bases):
+            sl = design.group_slice(i)
+            _residuals(Z[sl], U, out=R[sl])
+        blocks = _blocks(R, r)
+        G = blocks @ blocks.swapaxes(1, 2)
+        sq = np.diagonal(G, axis1=1, axis2=2).copy()
+        offs = design.group_offsets
+        tr_s = np.add.reduceat(sq, offs, axis=1) / m
+        q = np.add.reduceat(sq * sq, offs, axis=1) / m
+        G *= G
+        prod = np.add.reduceat(np.add.reduceat(G, offs, axis=1), offs, axis=2)
+        prod /= np.outer(m, m)
+        S = None
+    diag = np.arange(g)
+    a2 = _a2(tr_s, prod[:, diag, diag], q, vd.tau, m)
+    b = prod
+    b[:, diag, diag] = 0.0
+    return q, a2, b, sigma0_from_blocks(vd.blocks, a2, b), S
+
+
+def variance_from_data(X, design: DesignSpec, compressor,
+                       vd: VarianceDesign) -> VarianceEstimate:
+    """Data step for one N x p data matrix: variance_stack of its
+    compressed rows.  The scatters are read from that step when it formed
+    them (r <= N), and otherwise formed on first read of s.
+    """
+    Y = compress(X, compressor)
+    q, a2, b, sigma0_sq, S = variance_stack(Y[None], design, vd)
+    bases = design.group_bases
+    if S is not None:
+        scatters = tuple(S_i[0] for S_i in S)
         s_read = lambda: scatters
     else:
-        Y = compress(X, compressor)
-        R = np.empty(Y.shape)
-        for sl, U in zip(slices, bases):
-            _residuals(Y[sl], U, out=R[sl])
-        G = R @ R.T
-        sq = G.diagonal().copy()
-        offs = design.group_offsets
-        tr_s = np.add.reduceat(sq, offs) / m
-        q = np.add.reduceat(sq * sq, offs) / m
-        G *= G
-        prod = np.add.reduceat(np.add.reduceat(G, offs, axis=0), offs, axis=1)
-        prod /= np.outer(m, m)
         s_read = lambda: tuple(
-            group_residual_scatter(X[sl], design.A_block(i), compressor,
-                                   group=i, basis=bases[i])[0]
-            for i, sl in enumerate(slices))
-    a2 = _a2(tr_s, np.diagonal(prod), q, vd.tau, m)
-    b = prod
-    np.fill_diagonal(b, 0.0)
-    return VarianceEstimate(q=q, tau=vd.tau, k=k, a2=a2, b=b,
-                            sigma0_sq=sigma0_from_blocks(vd.blocks, a2, b),
+            group_residual_scatter(Y[design.group_slice(i)], design.A_block(i), None,
+                                   group=i, basis=U)[0]
+            for i, U in enumerate(bases))
+    return VarianceEstimate(q=q[0], tau=vd.tau, k=np.array([U.shape[1] for U in bases]),
+                            a2=a2[0], b=b[0], sigma0_sq=float(sigma0_sq[0]),
                             group_sizes=design.group_sizes, scatters=s_read)
 
 
@@ -335,4 +381,4 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec) -> VarianceEsti
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
     return variance_from_data(sample.X, design, design.projections.compressor,
-                              variance_design(design, design.projections.weights))
+                              design.variance_design)

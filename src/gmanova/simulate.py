@@ -4,15 +4,22 @@ Error distributions all have mean zero and identity covariance per
 component and satisfy the vanishing-odd-mixed-fourth-moment requirement,
 either through ellipticity or through independent standardized components.
 Replication j of a run draws from an independent counter-based substream
-keyed by (seed, j), and numpy's OpenBLAS runs on one thread while a run
-lasts, so serial and thread-parallel executions produce bitwise-identical
-summaries.
+keyed by (seed, j).  Replications run in fixed chunks of B: each is drawn
+into one reused buffer and its compressed rows are written into a
+(B, N, r) stack, and one call of TraceTestEngine.statistics evaluates the
+stack.  B is the largest count whose stack fits BATCH_BYTES (at least 1,
+at most MAX_BATCH), so it depends on the design's shape alone, and each
+replication's T and sigma0 are within 1e-12 (relative to the terms they
+sum) of the one-matrix statistic.  numpy's OpenBLAS runs on one thread
+while a run lasts, so serial and thread-parallel executions produce
+bitwise-identical summaries.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +32,7 @@ from .blas import one_blas_thread
 from .covariance import lookup
 from .design import DesignSpec
 from .errors import ConfigError
+from .estimators import compress
 from .trace_test import (
     MeanModel,
     TraceTestEngine,
@@ -35,6 +43,11 @@ from .trace_test import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+# Monte Carlo chunks: the largest replication count whose (B, N, r) stack
+# of compressed rows fits BATCH_BYTES, at least 1 and at most MAX_BATCH.
+BATCH_BYTES = 256 * 1024
+MAX_BATCH = 64
 
 _log = logging.getLogger(__name__)
 
@@ -184,41 +197,58 @@ class SimulationSummary:
     seed: int
 
 
-def replication_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
-    """draw(seed, j): the N x p data matrix of replication j of a run keyed
-    by seed, drawn from the substream (seed, j) with one error distribution
-    per group, the model's covariances and its mean.  Each group's rows are
-    drawn and coloured in place in the matrix, except that a full root
-    needs the standard rows apart.  The colouring factors come from the
-    covariance cache entries of model.sigmas (looked up when omitted)."""
+def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
+    """(errors, mean): errors(seed, j, out) writes the coloured N x p error
+    rows of replication j into out (a C-contiguous N x p float array),
+    drawn from the substream (seed, j) with one error distribution per
+    group and the model's covariances; mean is the N x p mean matrix, or
+    None when it vanishes.  Each group's rows are drawn and coloured in
+    place, except that a full root needs the standard rows apart.  The
+    colouring factors come from the covariance cache entries of
+    model.sigmas (looked up when omitted)."""
     if entries is None:
         entries = lookup(model.sigmas)[0]
     factors = [entry.colouring(S) for entry, S in zip(entries, model.sigmas)]
-    mean_matrix = design.A @ model.theta @ design.B.T if np.any(model.theta) else 0.0
-    has_mean = bool(np.any(mean_matrix))
+    mean = None
+    if np.any(model.theta):
+        mean = design.A @ model.theta @ design.B.T
+        mean = mean if np.any(mean) else None
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
     p = design.p
 
-    def draw(seed: int, j: int) -> np.ndarray:
+    def errors(seed: int, j: int, out: np.ndarray) -> np.ndarray:
         rng = _substream(seed, j)
-        X = np.empty((design.N, p))
         for sl, n, dist, root, scale in groups:
             if root is not None:
-                np.matmul(dist.sample(rng, n, p), root, out=X[sl])
+                np.matmul(dist.sample(rng, n, p), root, out=out[sl])
             else:
-                block = dist.sample(rng, n, p, out=X[sl])
+                block = dist.sample(rng, n, p, out=out[sl])
                 if scale is not None:
                     block *= scale
-        if has_mean:
-            X += mean_matrix
+        return out
+
+    return errors, mean
+
+
+def replication_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
+    """draw(seed, j, out=None): the N x p data matrix of replication j of a
+    run keyed by seed, the errors of _error_sampler plus the model's mean,
+    written into out (a C-contiguous N x p float array) when it is given."""
+    errors, mean = _error_sampler(design, model, dists, entries)
+
+    def draw(seed: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+        X = errors(seed, j, np.empty((design.N, design.p)) if out is None else out)
+        if mean is not None:
+            X += mean
         return X
 
     return draw
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Thread count from the argument, else GMANOVA_THREADS, else auto."""
+    """Thread count from the argument, else GMANOVA_THREADS, else auto (0):
+    the CPUs this process may run on."""
     if threads is None:
         env = os.environ.get("GMANOVA_THREADS", "").strip()
         if env:
@@ -232,8 +262,16 @@ def resolve_threads(threads: int | None) -> int:
     if threads < 0:
         raise ConfigError(f"thread count must be non-negative, got {threads}")
     if threads == 0:
-        threads = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            threads = len(os.sched_getaffinity(0))
+        threads = threads or os.cpu_count() or 1
     return threads
+
+
+def batch_size(design: DesignSpec) -> int:
+    """Replications per Monte Carlo chunk: the largest count whose
+    (B, N, r) stack of compressed rows fits BATCH_BYTES, in [1, MAX_BATCH]."""
+    return max(1, min(MAX_BATCH, BATCH_BYTES // (8 * design.N * design.r)))
 
 
 def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: float = 0.05,
@@ -243,12 +281,19 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     run the prepared test, and aggregate.
 
     distributions is one ErrorDistribution per group (a single one is
-    broadcast).  Identical (arguments, seed) produce identical summaries
-    regardless of the thread count.  threads workers each run whole
-    replications; numpy's OpenBLAS is held at one thread for the whole call
-    (process-wide) and restored when the call returns or raises.  The
-    per-covariance set-up is read from the covariance cache, and one INFO
-    record on the "gmanova.simulate" logger gives the call's timings.
+    broadcast).  Replications run in chunks of batch_size(design): the
+    errors of each replication are drawn into a reused buffer and
+    compressed into the chunk's (B, N, r) stack (a square compressor is
+    skipped, so they are drawn there directly), the compressed mean is
+    added, and one TraceTestEngine.statistics call evaluates the chunk;
+    each replication's T and sigma0 are within 1e-12 (relative to the terms
+    they sum) of the one-matrix statistic.  threads workers each run whole chunks, and B
+    depends on the design's shape alone, so identical (arguments, seed)
+    produce bitwise-identical summaries regardless of the thread count.
+    numpy's OpenBLAS is held at one thread for the whole call (process-wide)
+    and restored when the call returns or raises.  The per-covariance
+    set-up is read from the covariance cache, and one INFO record on the
+    "gmanova.simulate" logger gives the call's timings and B.
     """
     start = time.perf_counter()
     if not isinstance(design, DesignSpec):
@@ -275,27 +320,48 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
         q = true_q(model.theta, design)
         sigma2, sigma0_sq = sigma_full(model, design, entries=entries)
         predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
-        draw = replication_sampler(design, model, dists, entries)
+        errors, mean = _error_sampler(design, model, dists, entries)
+        P = engine.projections.compressor
+        square = P.shape[0] == P.shape[1]
+        PT = None if square else np.ascontiguousarray(P.T)
+        if mean is not None:  # added to the compressed rows
+            mean = compress(mean, P)
+        batch = batch_size(design)
+        buffers = threading.local()
         ready = time.perf_counter()
 
-        def run_one(j: int) -> None:
-            t, _, _, s0 = engine.statistics(draw(seed, j))
-            z, _, rej, degen = _decide(t, s0, engine.alpha)
-            z_vals[j] = z
-            rejects[j] = rej
-            degenerate[j] = degen
+        def run_chunk(first: int) -> None:
+            if not hasattr(buffers, "stack"):
+                if square:  # drawn in place: each matrix contiguous
+                    buffers.stack, buffers.X = np.empty((batch, design.N, design.p)), None
+                else:  # compressed rows laid out over N first, as statistics reads them
+                    buffers.stack = np.empty((design.N, batch, design.r)).swapaxes(0, 1)
+                    buffers.X = np.empty((design.N, design.p))
+            stop = min(first + batch, reps)
+            Y = buffers.stack[:stop - first]
+            for j, Y_j in zip(range(first, stop), Y):
+                if square:
+                    errors(seed, j, Y_j)
+                else:
+                    np.matmul(errors(seed, j, buffers.X), PT, out=Y_j)
+                if mean is not None:
+                    Y_j += mean
+            t, _, _, s0 = engine.statistics(Y)
+            z, _, reject, degen = _decide(t, s0, engine.alpha)
+            z_vals[first:stop], rejects[first:stop], degenerate[first:stop] = z, reject, degen
 
+        chunks = range(0, reps, batch)
         if n_threads <= 1:
-            for j in range(reps):
-                run_one(j)
+            for first in chunks:
+                run_chunk(first)
         else:
             with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                list(pool.map(run_one, range(reps)))
+                list(pool.map(run_chunk, chunks))
 
     rep_s = time.perf_counter() - ready
     _log.info("monte_carlo: set-up %.4f s, covariance cache %d hits %d misses; "
-              "%d replications in %.4f s, %.1f reps/s, threads=%d",
-              ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads)
+              "%d replications in %.4f s, %.1f reps/s, threads=%d, B=%d",
+              ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads, batch)
     rate = float(np.mean(rejects))
     return SimulationSummary(
         replications=reps,

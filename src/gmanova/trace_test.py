@@ -34,6 +34,7 @@ from .design import (
     group_spans,
     omega_sq_block_sums,
     pair_counts,
+    side_by_side,
 )
 from .errors import ConfigError
 from .estimators import (
@@ -41,8 +42,7 @@ from .estimators import (
     compress,
     estimate_variance,
     sigma0_from_blocks,
-    variance_design,
-    variance_from_data,
+    variance_stack,
 )
 
 # q / sqrt(sigma^2) beyond which the asymptotic power is reported as 1.
@@ -117,13 +117,16 @@ def statistic_t(X, compressor, omega) -> float:
     return float(np.sum((np.asarray(omega, dtype=float) @ Y) * Y))
 
 
-def _decide(t: float, sigma0_sq: float, alpha: float):
+def _decide(t, sigma0_sq, alpha: float):
     """Standardize and decide; a non-positive variance estimate zeroes the
-    statistic through an indicator and can never reject."""
-    degenerate = not sigma0_sq > 0.0
-    z = 0.0 if degenerate else t / sqrt(sigma0_sq)
-    p_value = float(ndtr(-z))
-    reject = (not degenerate) and z > float(ndtri(1.0 - alpha))
+    statistic through an indicator and can never reject.  For arrays of t
+    and sigma0_sq, (z, p_value, reject, degenerate) are arrays too."""
+    degenerate = ~(np.asarray(sigma0_sq) > 0.0)
+    z = np.where(degenerate, 0.0, t / np.sqrt(np.where(degenerate, 1.0, sigma0_sq)))
+    p_value = ndtr(-z)
+    reject = ~degenerate & (z > float(ndtri(1.0 - alpha)))
+    if degenerate.ndim == 0:
+        return float(z), float(p_value), bool(reject), bool(degenerate)
     return z, p_value, reject, degenerate
 
 
@@ -145,7 +148,7 @@ class TraceTestEngine:
         self.design = design
         self.alpha = _check_alpha(alpha)
         self.projections = design.projections
-        self._variance = variance_design(design, self.projections.weights)
+        self._variance = design.variance_design
 
     @property
     def omega(self) -> np.ndarray:
@@ -154,15 +157,26 @@ class TraceTestEngine:
         return self.projections.omega
 
     def statistics(self, X: np.ndarray):
-        """Raw ingredients (t, a2, b, sigma0_sq) for one data matrix."""
-        design = self.design
-        if X.shape != (design.N, design.p):
+        """Raw ingredients (t, a2, b, sigma0_sq) for one N x p data matrix.
+
+        X may also be a stack of B matrices: (B, N, p) data matrices or
+        (B, N, r) rows already compressed.  t and sigma0_sq are then arrays
+        of B values, a2 is B x g and b is B x g x g.
+        """
+        N, p, r = self.design.N, self.design.p, self.design.r
+        if not (X.shape == (N, p) or X.ndim == 3 and X.shape[1:] in ((N, p), (N, r))):
             raise ConfigError(
-                f"data shape {X.shape} does not match design ({design.N}, {design.p})")
-        P = self.projections.compressor
-        t = statistic_t(X, P, self.projections.factors)
-        est = variance_from_data(X, design, P, self._variance)
-        return t, est.a2, est.b, est.sigma0_sq
+                f"data shape {X.shape} does not match design: expected ({N}, {p}), "
+                f"or a stack of (B, {N}, {p}) data matrices or (B, {N}, {r}) compressed rows")
+        Y = compress(X, self.projections.compressor) if X.shape[-1] == p else X
+        if Y.ndim == 3:  # laid out over N first once, so both steps read a view
+            Y = side_by_side(Y).reshape(N, len(Y), -1).swapaxes(0, 1)
+        t = self.projections.factors.quadratic_form(Y)
+        _, a2, b, sigma0_sq, _ = variance_stack(Y if Y.ndim == 3 else Y[None],
+                                                self.design, self._variance)
+        if X.ndim == 2:
+            return t, a2[0], b[0], float(sigma0_sq[0])
+        return t, a2, b, sigma0_sq
 
     def test_matrix(self, X: np.ndarray) -> TestReport:
         """Run the standardized test on one N x p data matrix."""

@@ -1,0 +1,227 @@
+"""Monte Carlo in chunks: one statistics call per stack of replications.
+
+Over random one-way, growth-curve, two-way, profile and covariate designs
+(a within-group covariate on every row, so each row is its own class), with
+r <= N and r > N, square and non-square compressors, zero and non-zero
+means, and chunk sizes B forced through the byte budget so that the
+replication count is not a multiple of B: every replication's T and sigma0
+from a chunk is within 1e-12 of TraceTestEngine.statistics on its single
+data matrix, the summaries at threads 1, 2 and 3 are bitwise equal, and a
+stack whose last axis is neither p nor r is rejected.
+"""
+
+import dataclasses
+import logging
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from gmanova import (
+    ConfigError,
+    CovarianceSpec,
+    DesignSpec,
+    ErrorDistribution,
+    GroupError,
+    MeanModel,
+    NoBalancingSolution,
+    TraceTestEngine,
+    calibrate_signal_ray,
+    canonical_direction,
+    growth_curve,
+    monte_carlo,
+    one_way_manova,
+    profile_parallelism,
+    two_way_manova,
+)
+from gmanova import simulate
+from gmanova.estimators import compress
+from gmanova.scenarios import EFFECTS
+from gmanova.simulate import batch_size, replication_sampler
+
+TOL = 1e-12
+DISTRIBUTIONS = (ErrorDistribution.gaussian(), ErrorDistribution.elliptical_t(7.0),
+                 ErrorDistribution.standardized_gamma(1.5), ErrorDistribution.rademacher())
+
+
+LAYOUTS = ("one-way", "growth", "two-way", "profile", "covariate")
+
+
+@st.composite
+def cases(draw, layout, wide):
+    """(design, model, distribution, B, reps): a design of the layout with
+    r > N when wide, a zero or non-zero mean, and the chunk size B to force."""
+    if layout == "two-way":
+        sizes = draw(st.lists(st.integers(4, 6), min_size=4, max_size=4))
+    else:
+        sizes = draw(st.lists(st.integers(4, 9), min_size=2, max_size=3))
+    N = sum(sizes)
+    p = N + draw(st.integers(2, 6)) if wide else draw(st.integers(3, N - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if layout == "two-way":
+        design = two_way_manova(2, 2, sizes, p, draw(st.sampled_from(EFFECTS))).design
+    elif layout == "growth":
+        lowest = N if wide else 0
+        design = growth_curve(sizes, p, draw(st.integers(lowest, p - 1))).design
+    elif layout == "profile":
+        design = profile_parallelism(sizes, p).design
+    else:
+        design = one_way_manova(sizes, p).design
+    if layout == "covariate":
+        design = DesignSpec(A=np.hstack([design.A, rng.normal(size=(design.N, 1))]),
+                            B=design.B, L=np.hstack([design.L, np.zeros((design.ell, 1))]),
+                            R=design.R, group_sizes=design.group_sizes)
+    assert (design.r > design.N) == wide
+    sigmas = tuple(CovarianceSpec(kind="ar1", rho=0.4).matrix(p) if i % 2
+                   else np.diag(np.linspace(1.0, 2.0 + i, p)) for i in range(design.g))
+    snr = 1.5 if draw(st.booleans()) else 0.0
+    try:
+        design.variance_design
+        theta = calibrate_signal_ray(design, canonical_direction(design), sigmas, snr)
+    except (NoBalancingSolution, GroupError):
+        assume(False)
+    B = draw(st.sampled_from((1, 2, 3, 7, 64)))
+    reps = draw(st.sampled_from((100, 101, 117)))
+    return design, MeanModel(theta, sigmas), draw(st.sampled_from(DISTRIBUTIONS)), B, reps
+
+
+def _budget(monkeypatch, design, B):
+    """Set the byte budget so that batch_size(design) is B."""
+    monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * design.N * design.r * B)
+    assert batch_size(design) == B
+
+
+def _check_close(got_t, got_s0, design, X):
+    """T and sigma0 of one replication against statistics on its data
+    matrix X, relative to the magnitude of the terms each one sums (both
+    are differences of positive terms and may cancel)."""
+    t, a2, b, s0 = TraceTestEngine(design).statistics(X)
+    f = design.projections.factors
+    Y = compress(X, design.projections.compressor)
+    CY = Y - f.q @ (f.q.T @ Y)
+    t_terms = (np.sum((f.w @ Y) ** 2) + np.abs(f.d) @ np.sum(CY * CY, axis=1)
+               + np.abs(f.e) @ np.sum(Y * Y, axis=1))
+    coef = b + np.diag(a2)
+    s0_terms = 2.0 * np.sum(np.abs(design.variance_design.blocks * coef))
+    assert abs(got_t - t) <= TOL * t_terms
+    assert abs(got_s0 - s0) <= TOL * s0_terms
+
+
+def _bits(summary) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(summary))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["r<=N", "r>N"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_chunks_match_the_one_matrix_statistic(monkeypatch, layout, wide, data):
+    design, model, dist, B, reps = data.draw(cases(layout, wide))
+    _budget(monkeypatch, design, B)
+    draw = replication_sampler(design, model, [dist] * design.g)
+    seed = 5
+
+    calls = []
+    statistics = TraceTestEngine.statistics
+
+    def recording(self, X):
+        out = statistics(self, X)
+        calls.append((X.shape, out[0], out[3]))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(TraceTestEngine, "statistics", recording)
+        serial = monte_carlo(design, model, dist, reps=reps, seed=seed, threads=1)
+
+    assert [shape for shape, _, _ in calls] == (
+        [(B, design.N, design.r)] * (reps // B) + [(reps % B, design.N, design.r)] * (reps % B > 0))
+    t = np.concatenate([c[1] for c in calls])
+    s0 = np.concatenate([c[2] for c in calls])
+    for j in range(reps):
+        _check_close(t[j], s0[j], design, draw(seed, j))
+
+    for threads in (2, 3):
+        parallel = monte_carlo(design, model, dist, reps=reps, seed=seed, threads=threads)
+        assert _bits(parallel) == _bits(serial)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["r<=N", "r>N"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_stack_is_each_of_its_matrices(layout, wide, data):
+    """Raw (B, N, p) stacks and compressed (B, N, r) stacks give each
+    matrix's statistics; any other last axis is rejected naming p and r."""
+    design, model, dist, B, _ = data.draw(cases(layout, wide))
+    engine = TraceTestEngine(design)
+    draw = replication_sampler(design, model, [dist] * design.g)
+    X = np.stack([draw(3, j) for j in range(min(B, 5))])
+    for stack in (X, compress(X, engine.projections.compressor)):
+        t, a2, b, s0 = engine.statistics(stack)
+        assert t.shape == s0.shape == (len(X),)
+        assert a2.shape == (len(X), design.g) and b.shape == (len(X), design.g, design.g)
+        for j, X_j in enumerate(X):
+            _check_close(t[j], s0[j], design, X_j)
+            assert np.all(b[j].diagonal() == 0.0)
+
+    N, p, r = design.N, design.p, design.r
+    width = next(w for w in range(1, p + r + 2) if w not in (p, r))
+    with pytest.raises(ConfigError, match=rf"\(B, {N}, {p}\).*\(B, {N}, {r}\)"):
+        engine.statistics(np.zeros((2, N, width)))
+
+
+def test_one_matrix_in_a_stack_is_bitwise_the_matrix():
+    """The one-matrix call is the B = 1 case: same bits as a stack of one."""
+    design = growth_curve((7, 9, 8), 12, 2).design
+    engine = TraceTestEngine(design)
+    X = np.random.default_rng(2).standard_normal((design.N, design.p))
+    t, a2, b, s0 = engine.statistics(X)
+    t1, a21, b1, s01 = engine.statistics(X[None])
+    assert t == t1[0] and s0 == s01[0]
+    assert np.array_equal(a2, a21[0]) and np.array_equal(b, b1[0])
+    assert isinstance(t, float) and isinstance(s0, float)
+
+
+def test_batch_size_comes_from_the_design_shape():
+    """B = 9 at N r = 3600, 1 when one stack exceeds the budget, and at
+    most 64."""
+    assert batch_size(growth_curve((300,) * 4, 60, 2).design) == 9
+    assert batch_size(one_way_manova((150, 250, 300, 300), 300).design) == 1
+    assert batch_size(one_way_manova((40, 60), 600).design) == 1
+    assert batch_size(one_way_manova((4, 4), 3).design) == 64
+
+
+def test_batch_size_is_logged(caplog):
+    design = growth_curve((300,) * 4, 60, 2).design
+    model = MeanModel(np.zeros((design.k, design.q)), (np.eye(design.p),) * 4)
+    with caplog.at_level(logging.INFO, logger="gmanova.simulate"):
+        monte_carlo(design, model, ErrorDistribution.gaussian(), reps=100, seed=1, threads=1)
+    assert "B=9" in caplog.records[-1].getMessage()
+
+
+def test_peak_memory_does_not_grow_with_replications():
+    """On a growth design, the traced peak of 1000 replications is within
+    5% of that of 100: nothing per replication is kept beyond the z values,
+    and no raw (B, N, p) stack is held."""
+    design = growth_curve((300,) * 4, 60, 2).design
+    sigmas = (np.eye(60), np.diag(np.linspace(0.5, 2.0, 60))) * 2
+    theta = calibrate_signal_ray(design, canonical_direction(design), sigmas, 2.0)
+    model = MeanModel(theta, sigmas)
+    dist = ErrorDistribution.standardized_gamma(1.0)
+    monte_carlo(design, model, dist, reps=100, seed=1, threads=1)  # warm the caches
+    peaks = []
+    for reps in (100, 1000):
+        tracemalloc.start()
+        try:
+            monte_carlo(design, model, dist, reps=reps, seed=2, threads=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
+    raw_stack = batch_size(design) * design.N * design.p * 8
+    assert peaks[1] < raw_stack

@@ -4,8 +4,9 @@ Over random one-way, growth-curve, two-way, profile and covariate designs
 (a within-group covariate on every row, so each row is its own class):
 the cached build equals a fresh build_projections; an engine, run_test,
 a calibration, sigma_full, model_diagnostics and monte_carlo on one design
-run one build, one SVD of A and one SVD of each group's block; and the
-tau coefficients read from the group bases match the projector route.
+run one build, one SVD of A and one SVD of each group's block, and compute
+the tau coefficients once per group; and the tau coefficients read from the
+group bases match the projector route.
 """
 
 import numpy as np
@@ -39,6 +40,7 @@ from gmanova import (
     two_way_manova,
 )
 from gmanova import design as design_module
+from gmanova import estimators
 from gmanova.estimators import variance_design, variance_from_data
 from gmanova.scenarios import EFFECTS
 
@@ -158,6 +160,44 @@ def test_every_caller_shares_one_build_and_one_svd(case):
     assert built == [engine.projections]
     assert count(design.A) == 1
     assert [count(design.A_block(i)) for i in range(design.g)] == [1] * design.g
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases())
+@example((growth_curve((30,) * 4, 12, 2).design,
+          np.random.default_rng(0).standard_normal((120, 12))))
+def test_every_caller_shares_one_variance_design(case):
+    """The same run calls tau_coefficients once per group: the engine,
+    run_test and monte_carlo read DesignSpec.variance_design, read-only."""
+    drawn, X = case
+    calls = []
+    tau = estimators.tau_coefficients
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("group"))
+        return tau(*args, **kwargs)
+
+    p = drawn.p
+    sigmas = tuple(np.diag(np.linspace(1.0, 1.0 + i, p)) for i in range(drawn.g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "tau_coefficients", counted)
+        design = _copy(drawn)
+        try:
+            TraceTestEngine(design)
+            run_test(GroupedSample(X, design.group_sizes), design, diagnostics=True)
+        except (NoBalancingSolution, GroupError):
+            assume(False)
+        theta = calibrate_signal_ray(design, canonical_direction(design), sigmas, 1.5)
+        model = MeanModel(theta, sigmas)
+        sigma_full(model, design)
+        model_diagnostics(model, design)
+        monte_carlo(design, model, ErrorDistribution.gaussian(), reps=100, seed=1,
+                    threads=1)
+
+    assert calls == list(range(design.g))
+    vd = design.variance_design
+    assert not vd.tau.flags.writeable and not vd.blocks.flags.writeable
 
 
 def _block_design(sizes, kinds, k, seed) -> DesignSpec:

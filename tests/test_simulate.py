@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -203,6 +204,23 @@ class TestThreads:
         with pytest.raises(ConfigError):
             resolve_threads(-1)
 
+    def test_auto_counts_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        """0 (or GMANOVA_THREADS=0) means the CPUs this process may run on,
+        not every CPU of the machine."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5, 7}, raising=False)
+        assert resolve_threads(0) == 3
+        monkeypatch.setenv("GMANOVA_THREADS", "0")
+        assert resolve_threads(None) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_threads(0) == 64
+
+
+def _replications(X) -> int:
+    """The number of replications in one statistics call: one matrix or a
+    stack of them."""
+    return X.shape[0] if X.ndim == 3 else 1
+
 
 def _bits(summary) -> tuple:
     return tuple(v.hex() if isinstance(v, float) else v
@@ -237,7 +255,7 @@ class TestBlasThreads:
         statistics = TraceTestEngine.statistics
 
         def spy(self, X):
-            seen.append(get())
+            seen.extend([get()] * _replications(X))
             return statistics(self, X)
 
         monkeypatch.setattr(TraceTestEngine, "statistics", spy)
@@ -271,12 +289,12 @@ class TestBlasThreads:
             if threading.current_thread() is later:
                 later_pinned.set()
                 first_done.wait(timeout=60)
-                seen["later"].append(get())
+                seen["later"].extend([get()] * _replications(X))
             else:
                 if not later_pinned.is_set():
                     later.start()
                     later_pinned.wait(timeout=60)
-                seen["first"].append(get())
+                seen["first"].extend([get()] * _replications(X))
             return statistics(self, X)
 
         monkeypatch.setattr(TraceTestEngine, "statistics", spy)
@@ -307,7 +325,7 @@ class TestBlasThreads:
         statistics = TraceTestEngine.statistics
 
         def spy(self, X):
-            seen.append(get())
+            seen.extend([get()] * _replications(X))
             return statistics(self, X)
 
         monkeypatch.setattr(TraceTestEngine, "statistics", spy)
