@@ -241,14 +241,15 @@ class DesignSpec:
     @cached_property
     def variance_design(self):
         """The design step of the variance estimate (estimators.variance_design
-        of the class weights): the tau coefficients and the omega o omega
-        block sums, read-only, the one every engine and estimate reads."""
+        of the class weights): the tau coefficients, the omega o omega block
+        sums and the block-diagonal group basis, read-only, the one every
+        engine and estimate reads."""
         from .estimators import variance_design
 
         with one_blas_thread():
             vd = variance_design(self, self.projections.weights)
-        _read_only(vd.tau)
-        _read_only(vd.blocks)
+        for M in (vd.tau, vd.blocks, vd.basis):
+            _read_only(M)
         return vd
 
     def group_slice(self, i: int) -> slice:
@@ -347,6 +348,28 @@ class OmegaFactors:
         t = (np.einsum("ij,ij->j", WZ, WZ).reshape(-1, r).sum(axis=1)
              - self.d @ block_sq_norms(CZ, r) - self.e @ block_sq_norms(Z, r))
         return float(t[0]) if Y.ndim == 2 else t
+
+    def gram_form(self, G):
+        """tr(omega G) for the N x N Gram G = Y Y' of each matrix of a
+        (B, N, N) stack: tr(W G W') - sum_i d_i (C G C)_ii - sum_i e_i G_ii,
+        an array of B values, in O(N^2 (ell + k)) per Gram."""
+        N = G.shape[-1]
+        rows = G.reshape(-1, N)  # G is symmetric: the rows of G W' are those of W G
+        GW = (rows @ self.w.T).reshape(len(G), -1)
+        GQ = (rows @ self.q).reshape(len(G), N, -1)
+        g_diag = np.diagonal(G, axis1=1, axis2=2)
+        # (C G C)_ii = G_ii - sum_a q_ia (2 G Q - Q Q'G Q)_ia
+        inner = 2.0 * GQ - self.q @ (self.q.T @ GQ)
+        cgc = g_diag - np.einsum("bia,ia->bi", inner, self.q)
+        return GW @ self.w.T.ravel() - cgc @ self.d - g_diag @ self.e
+
+    def apply(self, Y) -> np.ndarray:
+        """omega Y for an N x r matrix Y, through the factors:
+        W'(W Y) - C diag(d) C Y - diag(e) Y."""
+        CY = Y - self.q @ (self.q.T @ Y)
+        CY *= self.d[:, None]
+        CY -= self.q @ (self.q.T @ CY)
+        return self.w.T @ (self.w @ Y) - CY - self.e[:, None] * Y
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,13 +7,16 @@ tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
 The estimate is computed here and nowhere else, in two steps:
-variance_design (tau coefficients and omega block sums, once per design,
-cached as DesignSpec.variance_design) and variance_stack (a2, b and sigma0
-for each matrix of a stack of compressed rows, centring each group on its
-DesignSpec.group_bases); variance_from_data is its one-matrix case.  The
-data step needs tr S_i, tr(S_i S_j) and Q_i only: from the r x r scatters
-when r <= N, and otherwise from the N x N Gram matrix G of the stacked
-centred residuals R_i, since tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
+variance_design (tau coefficients, omega block sums and the block-diagonal
+group basis, once per design, cached as DesignSpec.variance_design) and the
+data step (a2, b and sigma0 for each matrix of a stack).  The data step
+needs tr S_i, tr(S_i S_j) and Q_i only: from the r x r scatters when
+r <= N, and otherwise from the N x N Gram H of the stacked centred
+residuals R_i, since tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
+variance_stack takes compressed rows, centring each group on its
+DesignSpec.group_bases (variance_from_data is its one-matrix case);
+gram_variance takes the residual Grams, which residual_grams forms from
+Grams E E' of uncentred rows, and is the one r > N kernel of both.
 """
 
 from __future__ import annotations
@@ -118,11 +121,14 @@ class VarianceEstimate:
 
 @dataclass(frozen=True, eq=False)
 class VarianceDesign:
-    """The design step of the estimate: the g x 3 tau coefficients and the
-    g x g omega o omega block sums."""
+    """The design step of the estimate: the g x 3 tau coefficients, the
+    g x g omega o omega block sums, and the N x sum(k_i) block-diagonal
+    basis of the groups, U = blockdiag(U_i), by which residual Grams are
+    centred."""
 
     tau: np.ndarray
     blocks: np.ndarray
+    basis: np.ndarray
 
 
 def group_projector(U) -> np.ndarray:
@@ -292,10 +298,16 @@ def variance_design(design: DesignSpec, omega) -> VarianceDesign:
     """Design step: the tau coefficients, and the omega o omega block sums
     from the ClassWeights of the design (or a dense N x N omega)."""
     tau = np.empty((design.g, 3))
-    for i, U in enumerate(design.group_bases):
+    bases = design.group_bases
+    basis = np.zeros((design.N, sum(U.shape[1] for U in bases)))
+    col = 0
+    for i, U in enumerate(bases):
         tau[i] = tau_coefficients(group_projector(U), design.group_sizes[i],
                                   U.shape[1], group=i)
-    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes))
+        basis[design.group_slice(i), col:col + U.shape[1]] = U
+        col += U.shape[1]
+    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes),
+                          basis=basis)
 
 
 def variance_stack(Y, design: DesignSpec, vd: VarianceDesign):
@@ -305,47 +317,77 @@ def variance_stack(Y, design: DesignSpec, vd: VarianceDesign):
     (B, r, r), when they were formed (r <= N), else None.
 
     With r <= N the r x r group scatters give tr S_i, tr(S_i S_j) and Q_i.
-    With r > N they come from G = R R' for the N x r stacked centred
-    residuals R: tr(S_i S_j) = ||G_ij||^2 / (m_i m_j), and tr S_i and Q_i
-    from the diagonal of G.  The rows are centred with the matrices side
-    by side, the r x r and N x N products are formed per matrix, and
-    everything after them is one vectorised step over the stack.
+    With r > N the rows are centred with the matrices side by side and
+    gram_variance reads them from the residual Grams H = R R' of the N x r
+    stacked centred residuals R.  Everything after the r x r or N x N
+    products is one vectorised step over the stack.
     """
     n, N, r = Y.shape
-    g, bases = design.g, design.group_bases
-    m = np.asarray(design.group_sizes, dtype=float) - [U.shape[1] for U in bases]
-    if r <= N:
-        S, q, tr_s = [], np.empty((n, g)), np.empty((n, g))
-        for i, U in enumerate(bases):
-            S_i, q[:, i], _ = group_residual_scatter(
-                Y[:, design.group_slice(i)], design.A_block(i), None, group=i, basis=U)
-            tr_s[:, i] = np.trace(S_i, axis1=1, axis2=2)
-            S.append(S_i)
-        prod = np.empty((n, g, g))
-        for i in range(g):
-            for j in range(i, g):
-                prod[:, i, j] = prod[:, j, i] = np.einsum("bxy,bxy->b", S[i], S[j])
-    else:
+    if r > N:
         Z = side_by_side(Y)
         R = np.empty(Z.shape)
-        for i, U in enumerate(bases):
+        for i, U in enumerate(design.group_bases):
             sl = design.group_slice(i)
             _residuals(Z[sl], U, out=R[sl])
         blocks = _blocks(R, r)
-        G = blocks @ blocks.swapaxes(1, 2)
-        sq = np.diagonal(G, axis1=1, axis2=2).copy()
-        offs = design.group_offsets
-        tr_s = np.add.reduceat(sq, offs, axis=1) / m
-        q = np.add.reduceat(sq * sq, offs, axis=1) / m
-        G *= G
-        prod = np.add.reduceat(np.add.reduceat(G, offs, axis=1), offs, axis=2)
-        prod /= np.outer(m, m)
-        S = None
-    diag = np.arange(g)
+        return (*gram_variance(blocks @ blocks.swapaxes(1, 2), design, vd), None)
+    g = design.g
+    S, q, tr_s = [], np.empty((n, g)), np.empty((n, g))
+    for i, U in enumerate(design.group_bases):
+        S_i, q[:, i], _ = group_residual_scatter(
+            Y[:, design.group_slice(i)], design.A_block(i), None, group=i, basis=U)
+        tr_s[:, i] = np.trace(S_i, axis1=1, axis2=2)
+        S.append(S_i)
+    prod = np.empty((n, g, g))
+    for i in range(g):
+        for j in range(i, g):
+            prod[:, i, j] = prod[:, j, i] = np.einsum("bxy,bxy->b", S[i], S[j])
+    return (q, *_variance_tail(tr_s, prod, q, _residual_dof(design), vd), S)
+
+
+def residual_grams(G, vd: VarianceDesign) -> np.ndarray:
+    """H = M G M for each N x N Gram G = E E' of a (B, N, N) stack, with
+    M = I - U U' for the block-diagonal group basis U of vd: the Grams of
+    the group-centred rows.  As H = G - [U L] [L U]' with
+    L = G U - U (U'G U) / 2, it takes one product of G with U and one
+    rank-2 sum(k_i) update per Gram."""
+    U = vd.basis
+    L = np.matmul(G, U)
+    L -= U @ (U.T @ L) / 2.0
+    U = np.broadcast_to(U, L.shape)
+    H = np.concatenate((U, L), axis=2) @ np.concatenate((L, U), axis=2).swapaxes(1, 2)
+    return np.subtract(G, H, out=H)
+
+
+def gram_variance(H, design: DesignSpec, vd: VarianceDesign):
+    """(q, a2, b, sigma0_sq) from a (B, N, N) stack of residual Grams
+    H = R R' of the stacked group-centred rows R (overwritten): tr S_i and
+    Q_i from the diagonal of H, tr(S_i S_j) = ||H_ij||^2 / (m_i m_j) from
+    its g x g blocks."""
+    m = _residual_dof(design)
+    sq = np.diagonal(H, axis1=1, axis2=2).copy()
+    offs = design.group_offsets
+    tr_s = np.add.reduceat(sq, offs, axis=1) / m
+    q = np.add.reduceat(sq * sq, offs, axis=1) / m
+    H *= H
+    prod = np.add.reduceat(np.add.reduceat(H, offs, axis=1), offs, axis=2)
+    prod /= np.outer(m, m)
+    return (q, *_variance_tail(tr_s, prod, q, m, vd))
+
+
+def _residual_dof(design: DesignSpec) -> np.ndarray:
+    """m_i = N_i - k_i of each group."""
+    return np.asarray(design.group_sizes, dtype=float) - [U.shape[1] for U in design.group_bases]
+
+
+def _variance_tail(tr_s, prod, q, m, vd: VarianceDesign):
+    """(a2, b, sigma0_sq) from tr S_i and Q_i (B, g), tr(S_i S_j)
+    (B, g, g, overwritten into b with a zero diagonal) and m_i."""
+    diag = np.arange(len(m))
     a2 = _a2(tr_s, prod[:, diag, diag], q, vd.tau, m)
     b = prod
     b[:, diag, diag] = 0.0
-    return q, a2, b, sigma0_from_blocks(vd.blocks, a2, b), S
+    return a2, b, sigma0_from_blocks(vd.blocks, a2, b)
 
 
 def variance_from_data(X, design: DesignSpec, compressor,

@@ -4,15 +4,17 @@ Error distributions all have mean zero and identity covariance per
 component and satisfy the vanishing-odd-mixed-fourth-moment requirement,
 either through ellipticity or through independent standardized components.
 Replication j of a run draws from an independent counter-based substream
-keyed by (seed, j).  Replications run in fixed chunks of B: each is drawn
-into one reused buffer and its compressed rows are written into a
-(B, N, r) stack, and one call of TraceTestEngine.statistics evaluates the
-stack.  B is the largest count whose stack fits BATCH_BYTES (at least 1,
-at most MAX_BATCH), so it depends on the design's shape alone, and each
-replication's T and sigma0 are within 1e-12 (relative to the terms they
-sum) of the one-matrix statistic.  numpy's OpenBLAS runs on one thread
-while a run lasts, so serial and thread-parallel executions produce
-bitwise-identical summaries.
+keyed by (seed, j); each worker thread keeps one generator and re-keys it
+per replication, which draws the same bits.  Replications run in fixed
+chunks of B, each drawn into one reused buffer: their compressed rows are
+written into a (B, N, r) stack when r <= N, and the N x N Grams of their
+compressed errors into a (B, N, N) stack when r > N, and one call of
+TraceTestEngine.statistics evaluates the stack.  B is the largest count
+whose stack fits BATCH_BYTES (at least 1, at most MAX_BATCH), so it
+depends on the design's shape alone, and each replication's T and sigma0
+are within 1e-12 (relative to the terms they sum) of the one-matrix
+statistic.  numpy's OpenBLAS runs on one thread while a run lasts, so
+serial and thread-parallel executions produce bitwise-identical summaries.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from .trace_test import (
 
 _MASK64 = (1 << 64) - 1
 
-# Monte Carlo chunks: the largest replication count whose (B, N, r) stack
-# of compressed rows fits BATCH_BYTES, at least 1 and at most MAX_BATCH.
+# Monte Carlo chunks: the largest replication count whose stack, (B, N, r)
+# compressed rows or (B, N, N) error Grams, fits BATCH_BYTES, at least 1
+# and at most MAX_BATCH.
 BATCH_BYTES = 256 * 1024
 MAX_BATCH = 64
 
@@ -59,6 +62,19 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     """Independent Philox stream for one replication, keyed by (seed, index)."""
     key = (int(seed) & _MASK64) + (int(index) << 64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekeyed(local: threading.local, seed: int, index: int) -> np.random.Generator:
+    """This thread's generator in local, set to the start of the substream
+    (seed, index): the state of a fresh Philox with key words
+    [seed & 2^64-1, index], so its draws are bitwise those of
+    _substream(seed, index), without building a generator per replication."""
+    if not hasattr(local, "rng"):
+        bit_generator = np.random.Philox(key=0)
+        local.rng, local.state = np.random.Generator(bit_generator), bit_generator.state
+    local.state["state"]["key"][:] = (int(seed) & _MASK64, int(index))
+    local.rng.bit_generator.state = local.state
+    return local.rng
 
 
 @dataclass(frozen=True)
@@ -118,9 +134,13 @@ class ErrorDistribution:
             np.multiply(rng.integers(0, 2, size=(n, p)), 2.0, out=out)
             out -= 1.0
         elif self.kind == "standardized_gamma":
-            rng.standard_gamma(self.shape, out=out)
-            out -= self.shape
-            out /= sqrt(self.shape)
+            if self.shape == 1.0:  # standard_gamma(1) draws the exponential, bit for bit
+                rng.standard_exponential(out=out)
+                out -= 1.0
+            else:
+                rng.standard_gamma(self.shape, out=out)
+                out -= self.shape
+                out /= sqrt(self.shape)
         else:
             rng.standard_normal(out=out)
             if self.kind == "elliptical_t":
@@ -205,7 +225,8 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
     None when it vanishes.  Each group's rows are drawn and coloured in
     place, except that a full root needs the standard rows apart.  The
     colouring factors come from the covariance cache entries of
-    model.sigmas (looked up when omitted)."""
+    model.sigmas (looked up when omitted).  Each thread that calls errors
+    keeps one generator, re-keyed per replication (_rekeyed)."""
     if entries is None:
         entries = lookup(model.sigmas)[0]
     factors = [entry.colouring(S) for entry, S in zip(entries, model.sigmas)]
@@ -216,9 +237,10 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
     p = design.p
+    local = threading.local()
 
     def errors(seed: int, j: int, out: np.ndarray) -> np.ndarray:
-        rng = _substream(seed, j)
+        rng = _rekeyed(local, seed, j)
         for sl, n, dist, root, scale in groups:
             if root is not None:
                 np.matmul(dist.sample(rng, n, p), root, out=out[sl])
@@ -246,9 +268,16 @@ def replication_sampler(design: DesignSpec, model: MeanModel, dists, entries=Non
     return draw
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the CPU count."""
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+    return n or os.cpu_count() or 1
+
+
 def resolve_threads(threads: int | None) -> int:
     """Thread count from the argument, else GMANOVA_THREADS, else auto (0):
-    the CPUs this process may run on."""
+    usable_cpus()."""
     if threads is None:
         env = os.environ.get("GMANOVA_THREADS", "").strip()
         if env:
@@ -261,17 +290,15 @@ def resolve_threads(threads: int | None) -> int:
     threads = int(threads)
     if threads < 0:
         raise ConfigError(f"thread count must be non-negative, got {threads}")
-    if threads == 0:
-        if hasattr(os, "sched_getaffinity"):
-            threads = len(os.sched_getaffinity(0))
-        threads = threads or os.cpu_count() or 1
-    return threads
+    return threads or usable_cpus()
 
 
 def batch_size(design: DesignSpec) -> int:
-    """Replications per Monte Carlo chunk: the largest count whose
-    (B, N, r) stack of compressed rows fits BATCH_BYTES, in [1, MAX_BATCH]."""
-    return max(1, min(MAX_BATCH, BATCH_BYTES // (8 * design.N * design.r)))
+    """Replications per Monte Carlo chunk: the largest count whose stack
+    fits BATCH_BYTES, in [1, MAX_BATCH].  A chunk holds (B, N, r)
+    compressed rows when r <= N, and (B, N, N) error Grams when r > N."""
+    width = min(design.N, design.r)
+    return max(1, min(MAX_BATCH, BATCH_BYTES // (8 * design.N * width)))
 
 
 def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: float = 0.05,
@@ -281,19 +308,28 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     run the prepared test, and aggregate.
 
     distributions is one ErrorDistribution per group (a single one is
-    broadcast).  Replications run in chunks of batch_size(design): the
-    errors of each replication are drawn into a reused buffer and
-    compressed into the chunk's (B, N, r) stack (a square compressor is
-    skipped, so they are drawn there directly), the compressed mean is
-    added, and one TraceTestEngine.statistics call evaluates the chunk;
-    each replication's T and sigma0 are within 1e-12 (relative to the terms
-    they sum) of the one-matrix statistic.  threads workers each run whole chunks, and B
-    depends on the design's shape alone, so identical (arguments, seed)
-    produce bitwise-identical summaries regardless of the thread count.
-    numpy's OpenBLAS is held at one thread for the whole call (process-wide)
-    and restored when the call returns or raises.  The per-covariance
-    set-up is read from the covariance cache, and one INFO record on the
-    "gmanova.simulate" logger gives the call's timings and B.
+    broadcast).  Replications run in chunks of batch_size(design), and one
+    TraceTestEngine.statistics call evaluates each chunk.  The errors of
+    each replication are drawn into a reused buffer and compressed (a
+    square compressor is skipped).  When r <= N the compressed errors go
+    into the chunk's (B, N, r) stack and the compressed mean is added.
+    When r > N one syrk writes their N x N Gram E E' into a (B, N, N)
+    stack, which statistics reads at N x N size; the mean, which lies in
+    the range of A, leaves the variance unchanged and shifts T exactly by
+    2 <Omega M, E> + tr(M' Omega M) for the compressed mean M, with
+    Omega M formed once per call from Omega's factors.  Each
+    replication's T and sigma0 are within 1e-12 (relative to the terms
+    they sum) of the one-matrix statistic.
+
+    threads caps the worker threads, each running whole chunks: the call
+    starts min(threads, chunks, usable_cpus()) of them.  B depends on the
+    design's shape alone, so identical (arguments, seed) produce
+    bitwise-identical summaries regardless of the thread count.  numpy's
+    OpenBLAS is held at one thread for the whole call (process-wide) and
+    restored when the call returns or raises.  The per-covariance set-up
+    is read from the covariance cache, and one INFO record on the
+    "gmanova.simulate" logger gives the call's timings, the requested and
+    used thread counts, and B.
     """
     start = time.perf_counter()
     if not isinstance(design, DesignSpec):
@@ -313,6 +349,7 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     z_vals = np.empty(reps)
     rejects = np.zeros(reps, dtype=bool)
     degenerate = np.zeros(reps, dtype=bool)
+    N, p, r = design.N, design.p, design.r
 
     with one_blas_thread():
         entries, hits, misses = lookup(model.sigmas)
@@ -324,44 +361,64 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
         P = engine.projections.compressor
         square = P.shape[0] == P.shape[1]
         PT = None if square else np.ascontiguousarray(P.T)
-        if mean is not None:  # added to the compressed rows
+        gram = r > N
+        if mean is not None:  # added to the compressed rows, or T's shift
             mean = compress(mean, P)
+            if gram:
+                factors = engine.projections.factors
+                weighted, offset = factors.apply(mean), factors.quadratic_form(mean)
         batch = batch_size(design)
         buffers = threading.local()
         ready = time.perf_counter()
 
         def run_chunk(first: int) -> None:
             if not hasattr(buffers, "stack"):
-                if square:  # drawn in place: each matrix contiguous
-                    buffers.stack, buffers.X = np.empty((batch, design.N, design.p)), None
+                buffers.X = None if square and not gram else np.empty((N, p))
+                if gram:  # errors drawn into X, compressed into Y, their Gram stacked
+                    buffers.stack = np.empty((batch, N, N))
+                    buffers.Y = None if square else np.empty((N, r))
+                elif square:  # drawn in place: each matrix contiguous
+                    buffers.stack = np.empty((batch, N, p))
                 else:  # compressed rows laid out over N first, as statistics reads them
-                    buffers.stack = np.empty((design.N, batch, design.r)).swapaxes(0, 1)
-                    buffers.X = np.empty((design.N, design.p))
+                    buffers.stack = np.empty((N, batch, r)).swapaxes(0, 1)
             stop = min(first + batch, reps)
-            Y = buffers.stack[:stop - first]
-            for j, Y_j in zip(range(first, stop), Y):
-                if square:
-                    errors(seed, j, Y_j)
+            stack = buffers.stack[:stop - first]
+            shift = np.empty(stop - first) if gram and mean is not None else None
+            for k, j in enumerate(range(first, stop)):
+                if gram:
+                    Y = errors(seed, j, buffers.X)
+                    if not square:
+                        Y = np.matmul(Y, PT, out=buffers.Y)
+                    np.matmul(Y, Y.T, out=stack[k])  # one syrk
+                    if shift is not None:
+                        shift[k] = np.vdot(weighted, Y)
                 else:
-                    np.matmul(errors(seed, j, buffers.X), PT, out=Y_j)
-                if mean is not None:
-                    Y_j += mean
-            t, _, _, s0 = engine.statistics(Y)
+                    if square:
+                        errors(seed, j, stack[k])
+                    else:
+                        np.matmul(errors(seed, j, buffers.X), PT, out=stack[k])
+                    if mean is not None:
+                        stack[k] += mean
+            t, _, _, s0 = engine.statistics(stack)
+            if shift is not None:
+                t += 2.0 * shift + offset
             z, _, reject, degen = _decide(t, s0, engine.alpha)
             z_vals[first:stop], rejects[first:stop], degenerate[first:stop] = z, reject, degen
 
         chunks = range(0, reps, batch)
-        if n_threads <= 1:
+        workers = min(n_threads, len(chunks), usable_cpus())
+        if workers <= 1:
             for first in chunks:
                 run_chunk(first)
         else:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run_chunk, chunks))
 
     rep_s = time.perf_counter() - ready
     _log.info("monte_carlo: set-up %.4f s, covariance cache %d hits %d misses; "
-              "%d replications in %.4f s, %.1f reps/s, threads=%d, B=%d",
-              ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads, batch)
+              "%d replications in %.4f s, %.1f reps/s, threads=%d requested, %d used, B=%d",
+              ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads, workers,
+              batch)
     rate = float(np.mean(rejects))
     return SimulationSummary(
         replications=reps,

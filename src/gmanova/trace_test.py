@@ -41,6 +41,8 @@ from .estimators import (
     GroupedSample,
     compress,
     estimate_variance,
+    gram_variance,
+    residual_grams,
     sigma0_from_blocks,
     variance_stack,
 )
@@ -159,15 +161,28 @@ class TraceTestEngine:
     def statistics(self, X: np.ndarray):
         """Raw ingredients (t, a2, b, sigma0_sq) for one N x p data matrix.
 
-        X may also be a stack of B matrices: (B, N, p) data matrices or
-        (B, N, r) rows already compressed.  t and sigma0_sq are then arrays
-        of B values, a2 is B x g and b is B x g x g.
+        X may also be a stack of B matrices: (B, N, p) data matrices,
+        (B, N, r) rows already compressed, or, when r > N, (B, N, N) Grams
+        E E' of compressed rows E.  t and sigma0_sq are then arrays of B
+        values, a2 is B x g and b is B x g x g.  A Gram stack is read at
+        N x N size only: t = tr(Omega G) through Omega's factors, and the
+        variance from the residual Grams M G M, M = I - blockdiag(U_i U_i')
+        the group-centring projector.  That is exact for any rows, but a
+        large mean in the rows costs digits of sigma0_sq, so monte_carlo
+        passes the Grams of the errors and adds the mean's exact shift of t.
         """
         N, p, r = self.design.N, self.design.p, self.design.r
-        if not (X.shape == (N, p) or X.ndim == 3 and X.shape[1:] in ((N, p), (N, r))):
+        gram = r > N and X.ndim == 3 and X.shape[1:] == (N, N)
+        if not (gram or X.shape == (N, p) or X.ndim == 3 and X.shape[1:] in ((N, p), (N, r))):
+            grams = f", or (B, {N}, {N}) Grams of compressed rows" if r > N else ""
             raise ConfigError(
                 f"data shape {X.shape} does not match design: expected ({N}, {p}), "
-                f"or a stack of (B, {N}, {p}) data matrices or (B, {N}, {r}) compressed rows")
+                f"or a stack of (B, {N}, {p}) data matrices or (B, {N}, {r}) "
+                f"compressed rows{grams}")
+        if gram:
+            H = residual_grams(X, self._variance)
+            _, a2, b, sigma0_sq = gram_variance(H, self.design, self._variance)
+            return self.projections.factors.gram_form(X), a2, b, sigma0_sq
         Y = compress(X, self.projections.compressor) if X.shape[-1] == p else X
         if Y.ndim == 3:  # laid out over N first once, so both steps read a view
             Y = side_by_side(Y).reshape(N, len(Y), -1).swapaxes(0, 1)

@@ -1,13 +1,15 @@
 """Monte Carlo in chunks: one statistics call per stack of replications.
 
 Over random one-way, growth-curve, two-way, profile and covariate designs
-(a within-group covariate on every row, so each row is its own class), with
-r <= N and r > N, square and non-square compressors, zero and non-zero
-means, and chunk sizes B forced through the byte budget so that the
-replication count is not a multiple of B: every replication's T and sigma0
-from a chunk is within 1e-12 of TraceTestEngine.statistics on its single
-data matrix, the summaries at threads 1, 2 and 3 are bitwise equal, and a
-stack whose last axis is neither p nor r is rejected.
+(a within-group covariate on every row, so each row is its own class, and
+sum(k_i) > k), with r <= N and r > N, square and non-square compressors,
+zero, calibrated and 10^3 sigma means, and chunk sizes B forced through the
+byte budget so that the replication count is not a multiple of B: a chunk
+is a (B, N, r) stack of compressed rows when r <= N and a (B, N, N) stack
+of error Grams when r > N, every replication's T and sigma0 from a chunk
+is within 1e-12 of TraceTestEngine.statistics on its single data matrix,
+the summaries at threads 1, 2 and 3 are bitwise equal, and a stack of any
+other shape is rejected naming the accepted ones.
 """
 
 import dataclasses
@@ -51,8 +53,9 @@ LAYOUTS = ("one-way", "growth", "two-way", "profile", "covariate")
 
 @st.composite
 def cases(draw, layout, wide):
-    """(design, model, distribution, B, reps): a design of the layout with
-    r > N when wide, a zero or non-zero mean, and the chunk size B to force."""
+    """(design, model, distribution, B, reps, large): a design of the
+    layout with r > N when wide, a zero, calibrated or (when wide, and then
+    large is True) 10^3 sigma mean, and the chunk size B to force."""
     if layout == "two-way":
         sizes = draw(st.lists(st.integers(4, 6), min_size=4, max_size=4))
     else:
@@ -76,28 +79,52 @@ def cases(draw, layout, wide):
     assert (design.r > design.N) == wide
     sigmas = tuple(CovarianceSpec(kind="ar1", rho=0.4).matrix(p) if i % 2
                    else np.diag(np.linspace(1.0, 2.0 + i, p)) for i in range(design.g))
-    snr = 1.5 if draw(st.booleans()) else 0.0
+    mean = draw(st.sampled_from(("zero", "calibrated", "1e3 sigma")[:3 if wide else 2]))
+    direction = canonical_direction(design)
     try:
         design.variance_design
-        theta = calibrate_signal_ray(design, canonical_direction(design), sigmas, snr)
+        theta = calibrate_signal_ray(design, direction, sigmas,
+                                     1.5 if mean == "calibrated" else 0.0)
     except (NoBalancingSolution, GroupError):
         assume(False)
+    if mean == "1e3 sigma":  # the largest mean entry 10^3 times the largest error sd
+        sd = max(np.sqrt(np.max(np.diag(S))) for S in sigmas)
+        theta = direction * (1e3 * sd / np.max(np.abs(design.A @ direction @ design.B.T)))
     B = draw(st.sampled_from((1, 2, 3, 7, 64)))
     reps = draw(st.sampled_from((100, 101, 117)))
-    return design, MeanModel(theta, sigmas), draw(st.sampled_from(DISTRIBUTIONS)), B, reps
+    dist = draw(st.sampled_from(DISTRIBUTIONS))
+    return design, MeanModel(theta, sigmas), dist, B, reps, mean == "1e3 sigma"
+
+
+def _width(design) -> int:
+    """The last axis of a chunk: r compressed columns, or N for the
+    error Grams when r > N."""
+    return min(design.N, design.r)
 
 
 def _budget(monkeypatch, design, B):
     """Set the byte budget so that batch_size(design) is B."""
-    monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * design.N * design.r * B)
+    monkeypatch.setattr(simulate, "BATCH_BYTES", 8 * design.N * _width(design) * B)
     assert batch_size(design) == B
 
 
-def _check_close(got_t, got_s0, design, X):
+def _errors(design, model, dist):
+    """The replication sampler of the model's errors alone."""
+    zero = MeanModel(np.zeros_like(model.theta), model.sigmas)
+    return replication_sampler(design, zero, [dist] * design.g)
+
+
+def _check_close(got_t, got_s0, design, X, E=None):
     """T and sigma0 of one replication against statistics on its data
     matrix X, relative to the magnitude of the terms each one sums (both
-    are differences of positive terms and may cancel)."""
+    are differences of positive terms and may cancel).  Given the errors E
+    of X, sigma0 is checked against theirs: it does not depend on a mean
+    in the range of A, and at a 10^3 sigma mean the statistic of X itself
+    loses digits of it when centring its rows (up to 1.3e-12 of its terms
+    on these designs)."""
     t, a2, b, s0 = TraceTestEngine(design).statistics(X)
+    if E is not None:
+        _, a2, b, s0 = TraceTestEngine(design).statistics(E)
     f = design.projections.factors
     Y = compress(X, design.projections.compressor)
     CY = Y - f.q @ (f.q.T @ Y)
@@ -120,9 +147,10 @@ def _bits(summary) -> tuple:
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_chunks_match_the_one_matrix_statistic(monkeypatch, layout, wide, data):
-    design, model, dist, B, reps = data.draw(cases(layout, wide))
+    design, model, dist, B, reps, large = data.draw(cases(layout, wide))
     _budget(monkeypatch, design, B)
     draw = replication_sampler(design, model, [dist] * design.g)
+    errors = _errors(design, model, dist) if large else None
     seed = 5
 
     calls = []
@@ -137,12 +165,13 @@ def test_chunks_match_the_one_matrix_statistic(monkeypatch, layout, wide, data):
         mp.setattr(TraceTestEngine, "statistics", recording)
         serial = monte_carlo(design, model, dist, reps=reps, seed=seed, threads=1)
 
+    shape = (design.N, _width(design))
     assert [shape for shape, _, _ in calls] == (
-        [(B, design.N, design.r)] * (reps // B) + [(reps % B, design.N, design.r)] * (reps % B > 0))
+        [(B, *shape)] * (reps // B) + [(reps % B, *shape)] * (reps % B > 0))
     t = np.concatenate([c[1] for c in calls])
     s0 = np.concatenate([c[2] for c in calls])
     for j in range(reps):
-        _check_close(t[j], s0[j], design, draw(seed, j))
+        _check_close(t[j], s0[j], design, draw(seed, j), errors(seed, j) if large else None)
 
     for threads in (2, 3):
         parallel = monte_carlo(design, model, dist, reps=reps, seed=seed, threads=threads)
@@ -155,24 +184,34 @@ def test_chunks_match_the_one_matrix_statistic(monkeypatch, layout, wide, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_a_stack_is_each_of_its_matrices(layout, wide, data):
-    """Raw (B, N, p) stacks and compressed (B, N, r) stacks give each
-    matrix's statistics; any other last axis is rejected naming p and r."""
-    design, model, dist, B, _ = data.draw(cases(layout, wide))
+    """Raw (B, N, p) stacks, compressed (B, N, r) stacks and, when r > N,
+    (B, N, N) Grams of compressed errors give each matrix's statistics;
+    any other shape is rejected naming the accepted ones."""
+    design, model, dist, B, _, large = data.draw(cases(layout, wide))
     engine = TraceTestEngine(design)
     draw = replication_sampler(design, model, [dist] * design.g)
     X = np.stack([draw(3, j) for j in range(min(B, 5))])
-    for stack in (X, compress(X, engine.projections.compressor)):
+    E = np.stack([_errors(design, model, dist)(3, j) for j in range(len(X))])
+    Y = compress(E, engine.projections.compressor)
+    stacks = [(X, X), (compress(X, engine.projections.compressor), X)]
+    if wide:
+        stacks.append((Y @ Y.swapaxes(1, 2), E))
+    for stack, matrices in stacks:
         t, a2, b, s0 = engine.statistics(stack)
         assert t.shape == s0.shape == (len(X),)
         assert a2.shape == (len(X), design.g) and b.shape == (len(X), design.g, design.g)
-        for j, X_j in enumerate(X):
+        for j, X_j in enumerate(matrices):
             _check_close(t[j], s0[j], design, X_j)
             assert np.all(b[j].diagonal() == 0.0)
 
     N, p, r = design.N, design.p, design.r
-    width = next(w for w in range(1, p + r + 2) if w not in (p, r))
-    with pytest.raises(ConfigError, match=rf"\(B, {N}, {p}\).*\(B, {N}, {r}\)"):
+    width = next(w for w in range(1, p + r + 2) if w not in (p, r, N))
+    accepted = rf"\(B, {N}, {p}\).*\(B, {N}, {r}\)"
+    with pytest.raises(ConfigError, match=accepted + (rf".*\(B, {N}, {N}\)" if wide else "")):
         engine.statistics(np.zeros((2, N, width)))
+    if not wide:  # N x N is no chunk shape when r <= N
+        with pytest.raises(ConfigError, match=accepted + " compressed rows$"):
+            engine.statistics(np.zeros((2, N, N)))
 
 
 def test_one_matrix_in_a_stack_is_bitwise_the_matrix():
@@ -188,11 +227,12 @@ def test_one_matrix_in_a_stack_is_bitwise_the_matrix():
 
 
 def test_batch_size_comes_from_the_design_shape():
-    """B = 9 at N r = 3600, 1 when one stack exceeds the budget, and at
-    most 64."""
+    """B = 9 at N r = 3600, 1 when one stack exceeds the budget, at most
+    64, and, when r > N, 3 for the 100 x 100 error Grams of N = 100."""
     assert batch_size(growth_curve((300,) * 4, 60, 2).design) == 9
     assert batch_size(one_way_manova((150, 250, 300, 300), 300).design) == 1
-    assert batch_size(one_way_manova((40, 60), 600).design) == 1
+    assert batch_size(one_way_manova((40, 60), 600).design) == 3
+    assert batch_size(one_way_manova((50, 50), 200).design) == 3
     assert batch_size(one_way_manova((4, 4), 3).design) == 64
 
 
