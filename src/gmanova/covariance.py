@@ -5,7 +5,8 @@ run needs the same O(p^3) facts about each of them: the factor that
 colours standard draws, and the positive-definiteness verdict of the
 gates.  They are cached here, keyed by the shape and the SHA-256 of the
 C-contiguous float64 bytes, so an array edited in place is a new key and
-never reads a stale entry.  An entry computes each value on first need,
+never reads a stale entry.  An entry also keeps whether the matrix is
+exactly symmetric.  It computes each value on first need,
 from the matrix it was looked up with, at one BLAS thread so the bits do
 not depend on which caller came first; every array it returns is
 read-only.  The cache keeps the CACHE_SIZE most recently used entries.
@@ -40,6 +41,7 @@ class CovarianceEntry:
 
     def __init__(self):
         self._factor = None
+        self._symmetric = None
 
     def _factorize(self, S: np.ndarray):
         """(minimum eigenvalue, verdict, symmetric root): the root of a full
@@ -58,6 +60,12 @@ class CovarianceEntry:
 
     def is_positive_definite(self, S: np.ndarray) -> bool:
         return self._factorize(S)[1]
+
+    def is_symmetric(self, S: np.ndarray) -> bool:
+        """Whether S equals its transpose exactly, judged on the first call."""
+        if self._symmetric is None:
+            self._symmetric = bool(np.array_equal(S, S.T))
+        return self._symmetric
 
     def symmetric_root(self, S: np.ndarray):
         """(minimum eigenvalue, symmetric square root); the root is None

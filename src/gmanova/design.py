@@ -233,6 +233,18 @@ class DesignSpec:
                 for i in range(self.g))
 
     @cached_property
+    def group_basis(self) -> np.ndarray:
+        """The N x sum(k_i) block-diagonal basis blockdiag(U_i) of the
+        group_bases, read-only; its span holds range(A)."""
+        bases = self.group_bases
+        U = np.zeros((self.N, sum(b.shape[1] for b in bases)))
+        col = 0
+        for i, b in enumerate(bases):
+            U[self.group_slice(i), col:col + b.shape[1]] = b
+            col += b.shape[1]
+        return _read_only(U)
+
+    @cached_property
     def projections(self) -> ProjectionSet:
         """build_projections(self), read-only: the one build every caller reads."""
         with one_blas_thread():
@@ -241,14 +253,13 @@ class DesignSpec:
     @cached_property
     def variance_design(self):
         """The design step of the variance estimate (estimators.variance_design
-        of the class weights): the tau coefficients, the omega o omega block
-        sums and the block-diagonal group basis, read-only, the one every
-        engine and estimate reads."""
+        of the class weights): the tau coefficients and the omega o omega
+        block sums, read-only, the one every engine and estimate reads."""
         from .estimators import variance_design
 
         with one_blas_thread():
             vd = variance_design(self, self.projections.weights)
-        for M in (vd.tau, vd.blocks, vd.basis):
+        for M in (vd.tau, vd.blocks):
             _read_only(M)
         return vd
 
@@ -327,27 +338,22 @@ class OmegaFactors:
 
     with W the ell x N root of pi_h, Q the N x k orthonormal basis of A, d
     the balancing weights and e = h - (C o C) d the balancing residual, so
-    that the diagonal of omega is exactly zero.  No N x N matrix is formed.
+    that the diagonal of omega is exactly zero, and form, omega's
+    CentredForm on the block-diagonal basis of the groups.  No N x N matrix
+    is formed.
     """
 
     w: np.ndarray
     q: np.ndarray
     d: np.ndarray
     e: np.ndarray
+    form: CentredForm
 
-    def quadratic_form(self, Y):
-        """tr(Y' omega Y) = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2
-        - sum_i e_i ||y_i||^2, in O(N (ell + k) r) for an N x r matrix Y;
-        for a (B, N, r) stack, an array of B values, from products with the
-        matrices side by side."""
-        r = Y.shape[-1]
-        Z = side_by_side(Y)
-        WZ = self.w @ Z
-        CZ = self.q @ (self.q.T @ Z)
-        np.subtract(Z, CZ, out=CZ)
-        t = (np.einsum("ij,ij->j", WZ, WZ).reshape(-1, r).sum(axis=1)
-             - self.d @ block_sq_norms(CZ, r) - self.e @ block_sq_norms(Z, r))
-        return float(t[0]) if Y.ndim == 2 else t
+    def quadratic_form(self, Y) -> float:
+        """tr(Y' omega Y) for an N x r matrix Y, through form: one
+        centring of Y on the groups' basis, in O(N (K + ell) r) for
+        K = sum(k_i)."""
+        return float(self.form.centre(Y, Y.shape[1])[0][0])
 
     def gram_form(self, G):
         """tr(omega G) for the N x N Gram G = Y Y' of each matrix of a
@@ -370,6 +376,68 @@ class OmegaFactors:
         CY *= self.d[:, None]
         CY -= self.q @ (self.q.T @ CY)
         return self.w.T @ (self.w @ Y) - CY - self.e[:, None] * Y
+
+
+@dataclass(frozen=True, eq=False)
+class CentredForm:
+    """tr(Y' omega Y) read from one centring of Y on an orthonormal N x K
+    basis U whose span holds range(A), here the block-diagonal basis of the
+    groups.  The rows of W lie in range(A), so W Y = (W U) V with V = U'Y.
+    With R = Y - U V each row is y_i = R_i + u_i V, and
+    (C Y)_i = R_i + u_i Z with Z = (I - G G') V, G = U'Q (Z = 0 when
+    rank A = K, as span(Q) is then span(U)).  For the weights w = e
+    (X = V) and w = d (X = Z),
+
+        sum_i w_i ||R_i + u_i X||^2
+            = w' sq + <X, 2 (U'diag(w) Y - U_w V) + U_w X>,
+
+    U_w = U'diag(w) U, so T needs the squared row norms sq of R and
+    K-dimensional terms only.  lift stacks U', (e o U)' and, when
+    rank A < K, (d o U)': one product lift Y gives V and each
+    U'diag(w) Y.  terms holds (U_w, I - G G' or None for X = V) per
+    weight, in the order of lift, and de = d + e."""
+
+    u: np.ndarray
+    lift: np.ndarray
+    wu: np.ndarray
+    de: np.ndarray
+    terms: tuple
+
+    @classmethod
+    def build(cls, w, q, d, e, u) -> "CentredForm":
+        K = u.shape[1]
+        weights, terms = [e], [(u.T @ (e[:, None] * u), None)]
+        if q.shape[1] < K:
+            G = u.T @ q
+            weights.append(d)
+            terms.append((u.T @ (d[:, None] * u), np.eye(K) - G @ G.T))
+        lift = np.vstack([u.T] + [(v[:, None] * u).T for v in weights])
+        return cls(u=u, lift=lift, wu=w @ u, de=d + e, terms=tuple(terms))
+
+    def centre(self, Z, r: int):
+        """(t, R, sq) for a side-by-side matrix Z of r-column blocks: T of
+        each block, the rows R = Z - U U'Z centred on U, and their N x B
+        squared norms."""
+        K = self.u.shape[1]
+        lifted = self.lift @ Z
+        V = lifted[:K]
+        R = self.u @ V
+        np.subtract(Z, R, out=R)
+        sq = block_sq_norms(R, r)
+        WV = self.wu @ V
+        t = _block_dots(WV, WV, r) - self.de @ sq
+        for j, (M, fold) in enumerate(self.terms, start=1):
+            X = V if fold is None else fold @ V
+            P = lifted[j * K:(j + 1) * K] - M @ V
+            P *= 2.0
+            P += M @ X
+            t -= _block_dots(X, P, r)
+        return t, R, sq
+
+
+def _block_dots(X, Y, r: int) -> np.ndarray:
+    """<X_b, Y_b> for each r-column block of two side-by-side matrices."""
+    return np.einsum("ij,ij->j", X, Y).reshape(-1, r).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,11 +658,15 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     d, e, rel = _balancing_weights(pi_a, h, n)
     omega = build_omega(pi_h, pi_a, d, n)
     h, row_d, row_e = h[classes.index], d[classes.index], e[classes.index]
-    for M in (*vars(classes).values(), pi_a, pi_h, d, e, omega, compressor, h, row_d, row_e):
-        _read_only(M)
+    w = design.hypothesis_root
+    form = CentredForm.build(w, q, row_d, row_e, design.group_basis)
+    for M in (*vars(classes).values(), pi_a, pi_h, d, e, omega, compressor, h, row_d, row_e,
+              form.lift, form.wu, form.de, *(M for term in form.terms for M in term)):
+        if M is not None:
+            _read_only(M)
     weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, d=d, e=e,
                            omega=omega)
-    factors = OmegaFactors(w=design.hypothesis_root, q=q, d=row_d, e=row_e)
+    factors = OmegaFactors(w=w, q=q, d=row_d, e=row_e, form=form)
     return ProjectionSet(h_diag=h, compressor=compressor, d=row_d,
                          balancing_residual=rel, factors=factors,
                          weights=weights)

@@ -7,16 +7,19 @@ tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
 The estimate is computed here and nowhere else, in two steps:
-variance_design (tau coefficients, omega block sums and the block-diagonal
-group basis, once per design, cached as DesignSpec.variance_design) and the
-data step (a2, b and sigma0 for each matrix of a stack).  The data step
-needs tr S_i, tr(S_i S_j) and Q_i only: from the r x r scatters when
-r <= N, and otherwise from the N x N Gram H of the stacked centred
-residuals R_i, since tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
-variance_stack takes compressed rows, centring each group on its
-DesignSpec.group_bases (variance_from_data is its one-matrix case);
-gram_variance takes the residual Grams, which residual_grams forms from
-Grams E E' of uncentred rows, and is the one r > N kernel of both.
+variance_design (tau coefficients and omega block sums, once per design,
+cached as DesignSpec.variance_design) and the data step (a2, b and sigma0
+for each matrix of a stack).  The data step needs tr S_i, tr(S_i S_j) and
+Q_i only.  centred_stack takes compressed rows Y and centres them in one
+pass on the block-diagonal basis U of the groups, R = Y - U(U'Y), through
+omega's CentredForm: the squared norms of the rows of R give tr S_i and
+Q_i and, with K-dimensional terms, T as well; tr(S_i S_j) comes from the
+unscaled r x r products R_i'R_i when r <= N, and otherwise from the N x N
+Gram H = R R', as tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
+gram_variance reads the same from residual Grams, which residual_grams
+forms from Grams E E' of uncentred rows, and is the one r > N kernel of
+both.  The r x r scatters S_i themselves are formed by
+group_residual_scatter only when VarianceEstimate.s is read.
 """
 
 from __future__ import annotations
@@ -96,9 +99,9 @@ class VarianceEstimate:
     """Everything the null-variance estimate is made of: per-group S_i, Q_i,
     tau coefficients, design-block ranks, the unbiased a2/b estimates, and
     sigma0_sq_hat itself (which may be non-positive for general designs; the
-    sign is preserved, never clamped).  The scatters s are formed by
-    `scatters` on first read when the estimate did not need them (r > N),
-    and the block-expanded N x N matrix v_hat is built only when read.
+    sign is preserved, never clamped).  The estimate does not need the
+    scatters, so s is formed by `scatters` on first read, and the
+    block-expanded N x N matrix v_hat is built only when read.
     """
 
     q: np.ndarray
@@ -121,14 +124,11 @@ class VarianceEstimate:
 
 @dataclass(frozen=True, eq=False)
 class VarianceDesign:
-    """The design step of the estimate: the g x 3 tau coefficients, the
-    g x g omega o omega block sums, and the N x sum(k_i) block-diagonal
-    basis of the groups, U = blockdiag(U_i), by which residual Grams are
-    centred."""
+    """The design step of the estimate: the g x 3 tau coefficients and the
+    g x g omega o omega block sums."""
 
     tau: np.ndarray
     blocks: np.ndarray
-    basis: np.ndarray
 
 
 def group_projector(U) -> np.ndarray:
@@ -150,13 +150,6 @@ def compress(X, compressor) -> np.ndarray:
     if compressor is None or compressor.shape[0] == compressor.shape[1]:
         return X
     return X @ np.asarray(compressor, dtype=float).T
-
-
-def _residuals(Y, U, out=None) -> np.ndarray:
-    """Y - U U'Y, the rows of Y centred on the orthonormal columns of U,
-    written into out when it is given."""
-    fit = U @ (U.T @ Y)
-    return np.subtract(Y, fit, out=fit if out is None else out)
 
 
 def _blocks(Z, r: int) -> np.ndarray:
@@ -188,7 +181,9 @@ def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0, basis=None):
     m = n_i - k_i
     Y = compress(X_i, compressor)
     r = Y.shape[-1]
-    resid = _residuals(side_by_side(Y), U)
+    Z = side_by_side(Y)
+    resid = U @ (U.T @ Z)
+    np.subtract(Z, resid, out=resid)
     blocks = _blocks(resid, r)
     S = blocks.swapaxes(1, 2) @ blocks
     S /= m
@@ -298,60 +293,47 @@ def variance_design(design: DesignSpec, omega) -> VarianceDesign:
     """Design step: the tau coefficients, and the omega o omega block sums
     from the ClassWeights of the design (or a dense N x N omega)."""
     tau = np.empty((design.g, 3))
-    bases = design.group_bases
-    basis = np.zeros((design.N, sum(U.shape[1] for U in bases)))
-    col = 0
-    for i, U in enumerate(bases):
+    for i, U in enumerate(design.group_bases):
         tau[i] = tau_coefficients(group_projector(U), design.group_sizes[i],
                                   U.shape[1], group=i)
-        basis[design.group_slice(i), col:col + U.shape[1]] = U
-        col += U.shape[1]
-    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes),
-                          basis=basis)
+    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes))
 
 
-def variance_stack(Y, design: DesignSpec, vd: VarianceDesign):
+def centred_stack(Y, design: DesignSpec, vd: VarianceDesign):
     """Data step for a (B, N, r) stack of compressed rows, given the design
-    step: (q, a2, b, sigma0_sq, S) with q and a2 (B, g), b (B, g, g) with a
-    zero diagonal, sigma0_sq (B,), and S the g group scatters, each
-    (B, r, r), when they were formed (r <= N), else None.
+    step: (t, q, a2, b, sigma0_sq) with t and sigma0_sq (B,), q and a2
+    (B, g), and b (B, g, g) with a zero diagonal.
 
-    With r <= N the r x r group scatters give tr S_i, tr(S_i S_j) and Q_i.
-    With r > N the rows are centred with the matrices side by side and
-    gram_variance reads them from the residual Grams H = R R' of the N x r
-    stacked centred residuals R.  Everything after the r x r or N x N
-    products is one vectorised step over the stack.
+    One centring pass serves all of it: with the matrices side by side as
+    Z, omega's CentredForm centres Z on the block-diagonal basis U of the
+    groups, R = Z - U U'Z, and the squared norms of the rows of R give
+    tr S_i, Q_i and, with K-dimensional terms, t (bitwise the t of
+    OmegaFactors.quadratic_form).  tr(S_i S_j) comes from the unscaled
+    r x r syrks R_i'R_i of each group when r <= N, by dot products
+    divided by m_i m_j afterwards, and from the N x N Grams H = R R'
+    (gram_variance) when r > N.  Everything after those products is one
+    vectorised step over the stack.
     """
     n, N, r = Y.shape
+    t, R, sq = design.projections.factors.form.centre(side_by_side(Y), r)
+    blocks = _blocks(R, r)
     if r > N:
-        Z = side_by_side(Y)
-        R = np.empty(Z.shape)
-        for i, U in enumerate(design.group_bases):
-            sl = design.group_slice(i)
-            _residuals(Z[sl], U, out=R[sl])
-        blocks = _blocks(R, r)
-        return (*gram_variance(blocks @ blocks.swapaxes(1, 2), design, vd), None)
+        return (t, *gram_variance(blocks @ blocks.swapaxes(1, 2), design, vd))
     g = design.g
-    S, q, tr_s = [], np.empty((n, g)), np.empty((n, g))
-    for i, U in enumerate(design.group_bases):
-        S_i, q[:, i], _ = group_residual_scatter(
-            Y[:, design.group_slice(i)], design.A_block(i), None, group=i, basis=U)
-        tr_s[:, i] = np.trace(S_i, axis1=1, axis2=2)
-        S.append(S_i)
-    prod = np.empty((n, g, g))
+    S = np.empty((n, g, r, r))
     for i in range(g):
-        for j in range(i, g):
-            prod[:, i, j] = prod[:, j, i] = np.einsum("bxy,bxy->b", S[i], S[j])
-    return (q, *_variance_tail(tr_s, prod, q, _residual_dof(design), vd), S)
+        R_i = blocks[:, design.group_slice(i)]
+        np.matmul(R_i.swapaxes(1, 2), R_i, out=S[:, i])
+    S = S.reshape(n, g, r * r)
+    return (t, *_variance(sq.T, S @ S.swapaxes(1, 2), design, vd))
 
 
-def residual_grams(G, vd: VarianceDesign) -> np.ndarray:
+def residual_grams(G, U) -> np.ndarray:
     """H = M G M for each N x N Gram G = E E' of a (B, N, N) stack, with
-    M = I - U U' for the block-diagonal group basis U of vd: the Grams of
-    the group-centred rows.  As H = G - [U L] [L U]' with
+    M = I - U U' for the block-diagonal group basis U (DesignSpec.group_basis):
+    the Grams of the group-centred rows.  As H = G - [U L] [L U]' with
     L = G U - U (U'G U) / 2, it takes one product of G with U and one
     rank-2 sum(k_i) update per Gram."""
-    U = vd.basis
     L = np.matmul(G, U)
     L -= U @ (U.T @ L) / 2.0
     U = np.broadcast_to(U, L.shape)
@@ -364,15 +346,11 @@ def gram_variance(H, design: DesignSpec, vd: VarianceDesign):
     H = R R' of the stacked group-centred rows R (overwritten): tr S_i and
     Q_i from the diagonal of H, tr(S_i S_j) = ||H_ij||^2 / (m_i m_j) from
     its g x g blocks."""
-    m = _residual_dof(design)
     sq = np.diagonal(H, axis1=1, axis2=2).copy()
     offs = design.group_offsets
-    tr_s = np.add.reduceat(sq, offs, axis=1) / m
-    q = np.add.reduceat(sq * sq, offs, axis=1) / m
     H *= H
-    prod = np.add.reduceat(np.add.reduceat(H, offs, axis=1), offs, axis=2)
-    prod /= np.outer(m, m)
-    return (q, *_variance_tail(tr_s, prod, q, m, vd))
+    return _variance(sq, np.add.reduceat(np.add.reduceat(H, offs, axis=1), offs, axis=2),
+                     design, vd)
 
 
 def _residual_dof(design: DesignSpec) -> np.ndarray:
@@ -380,33 +358,36 @@ def _residual_dof(design: DesignSpec) -> np.ndarray:
     return np.asarray(design.group_sizes, dtype=float) - [U.shape[1] for U in design.group_bases]
 
 
-def _variance_tail(tr_s, prod, q, m, vd: VarianceDesign):
-    """(a2, b, sigma0_sq) from tr S_i and Q_i (B, g), tr(S_i S_j)
-    (B, g, g, overwritten into b with a zero diagonal) and m_i."""
+def _variance(sq, prod, design: DesignSpec, vd: VarianceDesign):
+    """(q, a2, b, sigma0_sq) from the (B, N) squared norms of the centred
+    rows and the (B, g, g) products m_i m_j tr(S_i S_j) (overwritten into
+    b with a zero diagonal): tr S_i and Q_i are sums of the norms and of
+    their squares over each group, divided by m_i."""
+    m = _residual_dof(design)
+    offs = design.group_offsets
+    tr_s = np.add.reduceat(sq, offs, axis=1) / m
+    q = np.add.reduceat(sq * sq, offs, axis=1) / m
+    prod /= np.outer(m, m)
     diag = np.arange(len(m))
     a2 = _a2(tr_s, prod[:, diag, diag], q, vd.tau, m)
     b = prod
     b[:, diag, diag] = 0.0
-    return a2, b, sigma0_from_blocks(vd.blocks, a2, b)
+    return q, a2, b, sigma0_from_blocks(vd.blocks, a2, b)
 
 
 def variance_from_data(X, design: DesignSpec, compressor,
                        vd: VarianceDesign) -> VarianceEstimate:
-    """Data step for one N x p data matrix: variance_stack of its
-    compressed rows.  The scatters are read from that step when it formed
-    them (r <= N), and otherwise formed on first read of s.
+    """Data step for one N x p data matrix: centred_stack of its compressed
+    rows.  The scatters are formed by group_residual_scatter on first read
+    of s.
     """
     Y = compress(X, compressor)
-    q, a2, b, sigma0_sq, S = variance_stack(Y[None], design, vd)
+    _, q, a2, b, sigma0_sq = centred_stack(Y[None], design, vd)
     bases = design.group_bases
-    if S is not None:
-        scatters = tuple(S_i[0] for S_i in S)
-        s_read = lambda: scatters
-    else:
-        s_read = lambda: tuple(
-            group_residual_scatter(Y[design.group_slice(i)], design.A_block(i), None,
-                                   group=i, basis=U)[0]
-            for i, U in enumerate(bases))
+    s_read = lambda: tuple(
+        group_residual_scatter(Y[design.group_slice(i)], design.A_block(i), None,
+                               group=i, basis=U)[0]
+        for i, U in enumerate(bases))
     return VarianceEstimate(q=q[0], tau=vd.tau, k=np.array([U.shape[1] for U in bases]),
                             a2=a2[0], b=b[0], sigma0_sq=float(sigma0_sq[0]),
                             group_sizes=design.group_sizes, scatters=s_read)

@@ -6,10 +6,11 @@ either through ellipticity or through independent standardized components.
 Replication j of a run draws from an independent counter-based substream
 keyed by (seed, j); each worker thread keeps one generator and re-keys it
 per replication, which draws the same bits.  Replications run in fixed
-chunks of B, each drawn into one reused buffer: their compressed rows are
-written into a (B, N, r) stack when r <= N, and the N x N Grams of their
-compressed errors into a (B, N, N) stack when r > N, and one call of
-TraceTestEngine.statistics evaluates the stack.  B is the largest count
+chunks of B, each drawn into one reused buffer and holding the errors
+only: their compressed errors are written into a (B, N, r) stack when
+r <= N, and the N x N Grams of those into a (B, N, N) stack when r > N,
+one call of TraceTestEngine.statistics evaluates the stack, and the mean
+shifts each T exactly.  B is the largest count
 whose stack fits BATCH_BYTES (at least 1, at most MAX_BATCH), so it
 depends on the design's shape alone, and each replication's T and sigma0
 are within 1e-12 (relative to the terms they sum) of the one-matrix
@@ -47,7 +48,7 @@ from .trace_test import (
 _MASK64 = (1 << 64) - 1
 
 # Monte Carlo chunks: the largest replication count whose stack, (B, N, r)
-# compressed rows or (B, N, N) error Grams, fits BATCH_BYTES, at least 1
+# compressed errors or (B, N, N) error Grams, fits BATCH_BYTES, at least 1
 # and at most MAX_BATCH.
 BATCH_BYTES = 256 * 1024
 MAX_BATCH = 64
@@ -296,7 +297,7 @@ def resolve_threads(threads: int | None) -> int:
 def batch_size(design: DesignSpec) -> int:
     """Replications per Monte Carlo chunk: the largest count whose stack
     fits BATCH_BYTES, in [1, MAX_BATCH].  A chunk holds (B, N, r)
-    compressed rows when r <= N, and (B, N, N) error Grams when r > N."""
+    compressed errors when r <= N, and (B, N, N) error Grams when r > N."""
     width = min(design.N, design.r)
     return max(1, min(MAX_BATCH, BATCH_BYTES // (8 * design.N * width)))
 
@@ -312,14 +313,15 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     TraceTestEngine.statistics call evaluates each chunk.  The errors of
     each replication are drawn into a reused buffer and compressed (a
     square compressor is skipped).  When r <= N the compressed errors go
-    into the chunk's (B, N, r) stack and the compressed mean is added.
-    When r > N one syrk writes their N x N Gram E E' into a (B, N, N)
-    stack, which statistics reads at N x N size; the mean, which lies in
-    the range of A, leaves the variance unchanged and shifts T exactly by
+    into the chunk's (B, N, r) stack, which statistics centres in one
+    pass.  When r > N one syrk writes their N x N Gram E E' into a
+    (B, N, N) stack, which statistics reads at N x N size.  A chunk holds
+    the errors only: the mean, which lies in the range of A, leaves the
+    variance unchanged and shifts T exactly by
     2 <Omega M, E> + tr(M' Omega M) for the compressed mean M, with
-    Omega M formed once per call from Omega's factors.  Each
-    replication's T and sigma0 are within 1e-12 (relative to the terms
-    they sum) of the one-matrix statistic.
+    Omega M formed once per call from Omega's factors, so a large mean
+    costs no digits of sigma0.  Each replication's T and sigma0 are within
+    1e-12 (relative to the terms they sum) of the one-matrix statistic.
 
     threads caps the worker threads, each running whole chunks: the call
     starts min(threads, chunks, usable_cpus()) of them.  B depends on the
@@ -362,11 +364,12 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
         square = P.shape[0] == P.shape[1]
         PT = None if square else np.ascontiguousarray(P.T)
         gram = r > N
-        if mean is not None:  # added to the compressed rows, or T's shift
+        weighted = offset = None
+        if mean is not None:  # T's exact shift: 2 <Omega M, E> + tr(M' Omega M)
             mean = compress(mean, P)
-            if gram:
-                factors = engine.projections.factors
-                weighted, offset = factors.apply(mean), factors.quadratic_form(mean)
+            factors = engine.projections.factors
+            weighted, offset = factors.apply(mean), factors.quadratic_form(mean)
+        del mean  # only its shift is kept
         batch = batch_size(design)
         buffers = threading.local()
         ready = time.perf_counter()
@@ -383,22 +386,18 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
                     buffers.stack = np.empty((N, batch, r)).swapaxes(0, 1)
             stop = min(first + batch, reps)
             stack = buffers.stack[:stop - first]
-            shift = np.empty(stop - first) if gram and mean is not None else None
+            shift = None if weighted is None else np.empty(stop - first)
             for k, j in enumerate(range(first, stop)):
-                if gram:
+                if square and not gram:
+                    Y = errors(seed, j, stack[k])
+                else:
                     Y = errors(seed, j, buffers.X)
                     if not square:
-                        Y = np.matmul(Y, PT, out=buffers.Y)
-                    np.matmul(Y, Y.T, out=stack[k])  # one syrk
-                    if shift is not None:
-                        shift[k] = np.vdot(weighted, Y)
-                else:
-                    if square:
-                        errors(seed, j, stack[k])
-                    else:
-                        np.matmul(errors(seed, j, buffers.X), PT, out=stack[k])
-                    if mean is not None:
-                        stack[k] += mean
+                        Y = np.matmul(Y, PT, out=buffers.Y if gram else stack[k])
+                    if gram:
+                        np.matmul(Y, Y.T, out=stack[k])  # one syrk
+                if shift is not None:  # einsum reads a strided Y without a copy
+                    shift[k] = np.einsum("ij,ij->", weighted, Y)
             t, _, _, s0 = engine.statistics(stack)
             if shift is not None:
                 t += 2.0 * shift + offset
@@ -426,7 +425,7 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
         mc_standard_error=sqrt(rate * (1.0 - rate) / reps),
         z_mean=float(np.mean(z_vals)),
         z_variance=float(np.var(z_vals)),
-        ks_distance=float(kstest(z_vals, "norm").statistic),
+        ks_distance=float(kstest(z_vals, "norm", method="asymp").statistic),
         predicted_power=predicted,
         degenerate_count=int(np.sum(degenerate)),
         seed=int(seed),

@@ -3,8 +3,10 @@
 statistic_t evaluates T = tr(P X' Omega X P') on the compressed N x r
 matrix Y = X P' through Omega's factors (Omega = W'W - C diag(d) C -
 diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
-sum_i e_i ||y_i||^2, so no N x N matrix is read; it also takes the dense
-N x N Omega, the reference form.  The variance, the diagnostics and the
+sum_i e_i ||y_i||^2, read from one centring of Y on the groups' basis
+(design.CentredForm, the pass the variance estimate reads too), so no
+N x N matrix is read; it also takes the dense N x N Omega, the reference
+form.  The variance, the diagnostics and the
 exact variance decomposition read Omega between row classes (ClassWeights)
 and likewise accept the dense form.  run_test wires the full pipeline
 (projections, per-group scatter, variance estimate, decision) for a single
@@ -34,17 +36,16 @@ from .design import (
     group_spans,
     omega_sq_block_sums,
     pair_counts,
-    side_by_side,
 )
 from .errors import ConfigError
 from .estimators import (
     GroupedSample,
+    centred_stack,
     compress,
     estimate_variance,
     gram_variance,
     residual_grams,
     sigma0_from_blocks,
-    variance_stack,
 )
 
 # q / sqrt(sigma^2) beyond which the asymptotic power is reported as 1.
@@ -164,12 +165,15 @@ class TraceTestEngine:
         X may also be a stack of B matrices: (B, N, p) data matrices,
         (B, N, r) rows already compressed, or, when r > N, (B, N, N) Grams
         E E' of compressed rows E.  t and sigma0_sq are then arrays of B
-        values, a2 is B x g and b is B x g x g.  A Gram stack is read at
-        N x N size only: t = tr(Omega G) through Omega's factors, and the
-        variance from the residual Grams M G M, M = I - blockdiag(U_i U_i')
-        the group-centring projector.  That is exact for any rows, but a
-        large mean in the rows costs digits of sigma0_sq, so monte_carlo
-        passes the Grams of the errors and adds the mean's exact shift of t.
+        values, a2 is B x g and b is B x g x g.  Rows are read by
+        estimators.centred_stack, which centres them once on the groups'
+        block-diagonal basis and takes t and the variance from that one
+        pass.  A Gram stack is read at N x N size only: t = tr(Omega G)
+        through Omega's factors, and the variance from the residual Grams
+        M G M, M = I - blockdiag(U_i U_i') the group-centring projector.
+        Both are exact for any rows, but a large mean in the rows costs
+        digits of sigma0_sq when they are centred, so monte_carlo passes
+        the errors and adds the mean's exact shift of t.
         """
         N, p, r = self.design.N, self.design.p, self.design.r
         gram = r > N and X.ndim == 3 and X.shape[1:] == (N, N)
@@ -180,17 +184,14 @@ class TraceTestEngine:
                 f"or a stack of (B, {N}, {p}) data matrices or (B, {N}, {r}) "
                 f"compressed rows{grams}")
         if gram:
-            H = residual_grams(X, self._variance)
+            H = residual_grams(X, self.design.group_basis)
             _, a2, b, sigma0_sq = gram_variance(H, self.design, self._variance)
             return self.projections.factors.gram_form(X), a2, b, sigma0_sq
         Y = compress(X, self.projections.compressor) if X.shape[-1] == p else X
-        if Y.ndim == 3:  # laid out over N first once, so both steps read a view
-            Y = side_by_side(Y).reshape(N, len(Y), -1).swapaxes(0, 1)
-        t = self.projections.factors.quadratic_form(Y)
-        _, a2, b, sigma0_sq, _ = variance_stack(Y if Y.ndim == 3 else Y[None],
-                                                self.design, self._variance)
+        t, _, a2, b, sigma0_sq = centred_stack(Y if Y.ndim == 3 else Y[None],
+                                               self.design, self._variance)
         if X.ndim == 2:
-            return t, a2[0], b[0], float(sigma0_sq[0])
+            return float(t[0]), a2[0], b[0], float(sigma0_sq[0])
         return t, a2, b, sigma0_sq
 
     def test_matrix(self, X: np.ndarray) -> TestReport:
@@ -268,10 +269,10 @@ def _compressed_covariance(S, compressor) -> np.ndarray:
     return (Psi + Psi.T) / 2.0
 
 
-def _check_covariances(model: MeanModel, design: DesignSpec, entries=None) -> None:
+def _check_covariances(model: MeanModel, design: DesignSpec, entries=None):
     """Count, shapes and positive definiteness of the model's covariances,
     the verdicts read from their covariance cache entries (looked up when
-    omitted)."""
+    omitted), which are returned."""
     if len(model.sigmas) != design.g:
         raise ValueError(
             f"{len(model.sigmas)} covariances for {design.g} groups")
@@ -283,6 +284,7 @@ def _check_covariances(model: MeanModel, design: DesignSpec, entries=None) -> No
                 f"covariance {i} has shape {S.shape}, expected ({design.p}, {design.p})")
         if not entry.is_positive_definite(S):
             raise ValueError(f"covariance {i} is not positive definite")
+    return entries
 
 
 def sigma_full(model: MeanModel, design: DesignSpec,
@@ -292,21 +294,28 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     under the model; the two coincide when the null holds, and are equal
     without the mean terms when A theta B' is exactly zero.  projections
     are the design's (design.projections when omitted) and entries the
-    covariance cache entries of model.sigmas (looked up when omitted)."""
-    _check_covariances(model, design, entries)
+    covariance cache entries of model.sigmas (looked up when omitted).
+    With a square compressor and exactly symmetric covariances (a verdict
+    the entries keep), the traces are dot products of the covariances
+    themselves, and no p x p matrix is formed."""
+    entries = _check_covariances(model, design, entries)
     if model.theta.shape != (design.k, design.q):
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
     proj = design.projections if projections is None else projections
     g = design.g
-    psis = [_compressed_covariance(S, proj.compressor) for S in model.sigmas]
-    a = np.array([float(np.sum(Psi * Psi)) for Psi in psis])
-    b = np.zeros((g, g))
+    P = proj.compressor
+    if P.shape[0] == P.shape[1] and all(
+            entry.is_symmetric(S) for entry, S in zip(entries, model.sigmas)):
+        psis = model.sigmas
+    else:
+        psis = [_compressed_covariance(S, P) for S in model.sigmas]
+    b = np.empty((g, g))
     for i in range(g):
-        for j in range(i + 1, g):
-            b[i, j] = b[j, i] = float(np.sum(psis[i] * psis[j]))
+        for j in range(i, g):
+            b[i, j] = b[j, i] = float(np.vdot(psis[i], psis[j]))
     sigma0_sq = sigma0_from_blocks(
-        omega_sq_block_sums(proj.weights, design.group_sizes), a, b)
+        omega_sq_block_sums(proj.weights, design.group_sizes), b.diagonal(), b)
     classes = proj.weights.classes
     if not np.any(design.A[classes.first] @ model.theta @ design.B.T):
         return sigma0_sq, sigma0_sq
@@ -377,14 +386,21 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
     # One row of V per active pair: the product Psi_a Psi_b, flattened.  For
     # symmetric psis tr(Psi_a Psi_b Psi_c Psi_d) = <Psi_a Psi_b, Psi_d Psi_c>,
     # so the Gram matrix V V' holds every fourth-order trace.
+    # Psi_b Psi_a = (Psi_a Psi_b)', so only the pairs a <= b are multiplied;
+    # active is symmetric, and (b, a) follows (a, b) in row order.
     pairs = [(i, j) for i in range(g) for j in range(g) if active[i, j]]
+    row = {pair: k for k, pair in enumerate(pairs)}
     r = psis[0].shape[0]
     V = np.empty((len(pairs), r * r))
     b_sum = 0.0
     for k, (i, j) in enumerate(pairs):
-        b_sum += float(np.trace(np.matmul(psis[i], psis[j], out=V[k].reshape(r, r))))
+        out = V[k].reshape(r, r)
+        if i <= j:
+            np.matmul(psis[i], psis[j], out=out)
+        else:
+            out[...] = V[row[j, i]].reshape(r, r).T
+        b_sum += float(np.trace(out))
     M = V @ V.T
-    row = {pair: k for k, pair in enumerate(pairs)}
     worst = 0.0
     for a, b, c, d in product(range(g), repeat=4):
         if all(active[x, y] for x, y in permutations((a, b, c, d), 2)):

@@ -5,11 +5,12 @@ Over random one-way, growth-curve, two-way, profile and covariate designs
 sum(k_i) > k), with r <= N and r > N, square and non-square compressors,
 zero, calibrated and 10^3 sigma means, and chunk sizes B forced through the
 byte budget so that the replication count is not a multiple of B: a chunk
-is a (B, N, r) stack of compressed rows when r <= N and a (B, N, N) stack
+is a (B, N, r) stack of compressed errors when r <= N and a (B, N, N) stack
 of error Grams when r > N, every replication's T and sigma0 from a chunk
-is within 1e-12 of TraceTestEngine.statistics on its single data matrix,
-the summaries at threads 1, 2 and 3 are bitwise equal, and a stack of any
-other shape is rejected naming the accepted ones.
+is within 1e-12 of TraceTestEngine.statistics on its single data matrix
+and, when r <= N, of the dense oracle (tr(Y' omega Y), a2_hat, b_hat,
+sigma0_hat), the summaries at threads 1, 2 and 3 are bitwise equal, and a
+stack of any other shape is rejected naming the accepted ones.
 """
 
 import dataclasses
@@ -32,11 +33,16 @@ from gmanova import (
     TraceTestEngine,
     calibrate_signal_ray,
     canonical_direction,
+    a2_hat,
+    b_hat,
+    group_residual_scatter,
     growth_curve,
     monte_carlo,
     one_way_manova,
     profile_parallelism,
+    sigma0_hat,
     two_way_manova,
+    v_hat,
 )
 from gmanova import simulate
 from gmanova.estimators import compress
@@ -54,8 +60,8 @@ LAYOUTS = ("one-way", "growth", "two-way", "profile", "covariate")
 @st.composite
 def cases(draw, layout, wide):
     """(design, model, distribution, B, reps, large): a design of the
-    layout with r > N when wide, a zero, calibrated or (when wide, and then
-    large is True) 10^3 sigma mean, and the chunk size B to force."""
+    layout with r > N when wide, a zero, calibrated or (large is then True)
+    10^3 sigma mean, and the chunk size B to force."""
     if layout == "two-way":
         sizes = draw(st.lists(st.integers(4, 6), min_size=4, max_size=4))
     else:
@@ -79,7 +85,7 @@ def cases(draw, layout, wide):
     assert (design.r > design.N) == wide
     sigmas = tuple(CovarianceSpec(kind="ar1", rho=0.4).matrix(p) if i % 2
                    else np.diag(np.linspace(1.0, 2.0 + i, p)) for i in range(design.g))
-    mean = draw(st.sampled_from(("zero", "calibrated", "1e3 sigma")[:3 if wide else 2]))
+    mean = draw(st.sampled_from(("zero", "calibrated", "1e3 sigma")))
     direction = canonical_direction(design)
     try:
         design.variance_design
@@ -121,19 +127,41 @@ def _check_close(got_t, got_s0, design, X, E=None):
     of X, sigma0 is checked against theirs: it does not depend on a mean
     in the range of A, and at a 10^3 sigma mean the statistic of X itself
     loses digits of it when centring its rows (up to 1.3e-12 of its terms
-    on these designs)."""
+    on these designs), which the chunks of errors do not."""
     t, a2, b, s0 = TraceTestEngine(design).statistics(X)
     if E is not None:
         _, a2, b, s0 = TraceTestEngine(design).statistics(E)
-    f = design.projections.factors
     Y = compress(X, design.projections.compressor)
+    assert abs(got_t - t) <= TOL * _t_terms(design, Y)
+    assert abs(got_s0 - s0) <= TOL * _s0_terms(design, a2, b)
+
+
+def _t_terms(design, Y) -> float:
+    """The magnitude of the terms T sums through omega's factors for the
+    compressed rows Y."""
+    f = design.projections.factors
     CY = Y - f.q @ (f.q.T @ Y)
-    t_terms = (np.sum((f.w @ Y) ** 2) + np.abs(f.d) @ np.sum(CY * CY, axis=1)
-               + np.abs(f.e) @ np.sum(Y * Y, axis=1))
-    coef = b + np.diag(a2)
-    s0_terms = 2.0 * np.sum(np.abs(design.variance_design.blocks * coef))
-    assert abs(got_t - t) <= TOL * t_terms
-    assert abs(got_s0 - s0) <= TOL * s0_terms
+    return (np.sum((f.w @ Y) ** 2) + np.abs(f.d) @ np.sum(CY * CY, axis=1)
+            + np.abs(f.e) @ np.sum(Y * Y, axis=1))
+
+
+def _s0_terms(design, a2, b) -> float:
+    """The magnitude of the terms of sigma0 from a2 and b."""
+    return 2.0 * np.sum(np.abs(design.variance_design.blocks * (b + np.diag(a2))))
+
+
+def _recording(monkeypatch, calls):
+    """Record (t, a2, b, sigma0) of every TraceTestEngine.statistics call.
+    monte_carlo adds the mean's shift to t in place, so the recorded t is
+    the replication's T."""
+    statistics = TraceTestEngine.statistics
+
+    def recording(self, X):
+        out = statistics(self, X)
+        calls.append((X.shape, *out))
+        return out
+
+    monkeypatch.setattr(TraceTestEngine, "statistics", recording)
 
 
 def _bits(summary) -> tuple:
@@ -154,22 +182,15 @@ def test_chunks_match_the_one_matrix_statistic(monkeypatch, layout, wide, data):
     seed = 5
 
     calls = []
-    statistics = TraceTestEngine.statistics
-
-    def recording(self, X):
-        out = statistics(self, X)
-        calls.append((X.shape, out[0], out[3]))
-        return out
-
     with monkeypatch.context() as mp:
-        mp.setattr(TraceTestEngine, "statistics", recording)
+        _recording(mp, calls)
         serial = monte_carlo(design, model, dist, reps=reps, seed=seed, threads=1)
 
     shape = (design.N, _width(design))
-    assert [shape for shape, _, _ in calls] == (
+    assert [c[0] for c in calls] == (
         [(B, *shape)] * (reps // B) + [(reps % B, *shape)] * (reps % B > 0))
     t = np.concatenate([c[1] for c in calls])
-    s0 = np.concatenate([c[2] for c in calls])
+    s0 = np.concatenate([c[4] for c in calls])
     for j in range(reps):
         _check_close(t[j], s0[j], design, draw(seed, j), errors(seed, j) if large else None)
 
@@ -212,6 +233,87 @@ def test_a_stack_is_each_of_its_matrices(layout, wide, data):
     if not wide:  # N x N is no chunk shape when r <= N
         with pytest.raises(ConfigError, match=accepted + " compressed rows$"):
             engine.statistics(np.zeros((2, N, N)))
+
+
+def _scatter_oracle(design, E):
+    """(a2, b, sigma0) from a2_hat, b_hat and the dense sigma0_hat on the
+    group scatters of the compressed rows E, with the magnitudes of the
+    terms each one sums."""
+    vd, g = design.variance_design, design.g
+    S, a2, a2_terms = [], np.empty(g), np.empty(g)
+    for i in range(g):
+        S_i, Q_i, k_i = group_residual_scatter(E[design.group_slice(i)],
+                                               design.A_block(i), None)
+        n_i, (t1, t2, t3) = design.group_sizes[i], vd.tau[i]
+        m, tr_s = n_i - k_i, float(np.trace(S_i))
+        a2[i] = a2_hat(S_i, Q_i, vd.tau[i], n_i, k_i)
+        a2_terms[i] = (abs(m * m * t2 - t1 * t1) * np.sum(S_i * S_i)
+                       + abs(m * t2 - t1 * t1) * tr_s * tr_s
+                       + abs(m - 1.0) * t1 * Q_i) / abs(m * t3)
+        S.append(S_i)
+    b = np.array([[b_hat(S_i, S_j) if i != j else 0.0 for j, S_j in enumerate(S)]
+                  for i, S_i in enumerate(S)])
+    norms = np.sqrt([b_hat(S_i, S_i) for S_i in S])
+    omega = design.projections.omega
+    sigma0 = sigma0_hat(omega, v_hat(a2, b, design.group_sizes))
+    s0_terms = sigma0_hat(np.abs(omega), v_hat(a2_terms, np.outer(norms, norms),
+                                               design.group_sizes))
+    return (a2, a2_terms), (b, np.outer(norms, norms)), (sigma0, s0_terms)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_narrow_chunks_match_the_dense_oracle(monkeypatch, layout, data):
+    """r <= N: each replication's T from a chunk of compressed errors and
+    the mean's shift is the dense tr(Y' omega Y) of its compressed data Y,
+    and its a2, b and sigma0 are a2_hat, b_hat and sigma0_hat(omega, v_hat)
+    of its errors' group scatters, each within 1e-12 of the terms it sums."""
+    design, model, dist, B, reps, _ = data.draw(cases(layout, False))
+    _budget(monkeypatch, design, B)
+    calls = []
+    with monkeypatch.context() as mp:
+        _recording(mp, calls)
+        monte_carlo(design, model, dist, reps=reps, seed=9, threads=1)
+    t, a2, b, s0 = (np.concatenate([c[k] for c in calls]) for k in range(1, 5))
+
+    draw = replication_sampler(design, model, [dist] * design.g)
+    errors = _errors(design, model, dist)
+    P, omega = design.projections.compressor, design.projections.omega
+    for j in range(reps):
+        Y = compress(draw(9, j), P)
+        assert abs(t[j] - np.sum((omega @ Y) * Y)) <= TOL * _t_terms(design, Y)
+        (want_a2, a2_terms), (want_b, b_terms), (want_s0, s0_terms) = \
+            _scatter_oracle(design, compress(errors(9, j), P))
+        assert np.all(np.abs(a2[j] - want_a2) <= TOL * a2_terms)
+        assert np.all(np.abs(b[j] - want_b) <= TOL * b_terms)
+        assert abs(s0[j] - want_s0) <= TOL * s0_terms
+
+
+def test_a_large_mean_costs_no_digits_of_sigma0(monkeypatch):
+    """On a (5, 6, 7) x 12 degree-2 growth curve whose largest mean entry is
+    10^3 times the largest error sd, each chunk's sigma0 is within 2e-15 of
+    its terms of the statistic of the replication's errors: r <= N chunks
+    hold the errors, and the mean only shifts T."""
+    design = growth_curve((5, 6, 7), 12, 2).design
+    sigmas = (np.eye(12), CovarianceSpec(kind="ar1", rho=0.4).matrix(12),
+              np.diag(np.linspace(1.0, 3.0, 12)))
+    direction = canonical_direction(design)
+    theta = direction * (1e3 * np.sqrt(3.0)
+                         / np.max(np.abs(design.A @ direction @ design.B.T)))
+    model = MeanModel(theta, sigmas)
+    dist = ErrorDistribution.elliptical_t(7.0)
+    calls = []
+    with monkeypatch.context() as mp:
+        _recording(mp, calls)
+        monte_carlo(design, model, dist, reps=100, seed=4, threads=1)
+    s0 = np.concatenate([c[4] for c in calls])
+    assert len(calls) > 1
+    errors, engine = _errors(design, model, dist), TraceTestEngine(design)
+    for j in range(100):
+        _, a2, b, want = engine.statistics(errors(4, j))
+        assert abs(s0[j] - want) <= 2e-15 * _s0_terms(design, a2, b)
 
 
 def test_one_matrix_in_a_stack_is_bitwise_the_matrix():

@@ -234,6 +234,37 @@ class TestDesignWork:
         assert sigma2 > sigma0_sq
 
 
+    def test_symmetric_covariances_are_read_in_place(self, monkeypatch):
+        """With a square compressor, sigma_full reads exactly symmetric
+        covariances by dot products, forming no compressed copy, and the
+        symmetry verdict is kept on the cache entry; an asymmetric one is
+        read through its symmetric part, with the same variance."""
+        from gmanova import trace_test
+
+        p = 5
+        design = one_way_manova((6, 7, 8), p).design
+        rng = np.random.default_rng(8)
+        sym = []
+        for _ in range(3):
+            F = rng.normal(size=(p, p))
+            sym.append(F @ F.T / p + np.eye(p))
+        asym = [S + (K - K.T) for S, K in zip(sym, rng.normal(size=(3, p, p)))]
+        copies = []
+        compressed = trace_test._compressed_covariance
+        monkeypatch.setattr(trace_test, "_compressed_covariance",
+                            lambda S, P: copies.append(1) or compressed(S, P))
+        zero = np.zeros((design.k, design.q))
+        _, fast = sigma_full(MeanModel(zero, tuple(sym)), design)
+        assert copies == []
+        entries = covariance.lookup(sym)[0]
+        assert all(entry.is_symmetric(S) for entry, S in zip(entries, sym))
+        _, slow = sigma_full(MeanModel(zero, tuple(asym)), design)
+        assert len(copies) == 3
+        assert not any(entry.is_symmetric(S)
+                       for entry, S in zip(covariance.lookup(asym)[0], asym))
+        assert slow == pytest.approx(fast, rel=1e-13)
+
+
 class TestLogging:
     def test_one_info_record_per_call(self, caplog):
         p = 6

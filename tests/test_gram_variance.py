@@ -1,7 +1,8 @@
-"""Property tests: the data step of the variance estimate, which reads the
-g x g matrix of tr(S_i S_j) from the r x r scatters when r <= N and from the
-N x N Gram matrix of the centred residuals when r > N, agrees with the
-per-group scatter formulas (a2_hat, b_hat) and the dense sigma0_hat.
+"""Property tests: the data step of the variance estimate, which centres the
+rows once and reads the g x g matrix of tr(S_i S_j) from the unscaled r x r
+products of the centred rows when r <= N and from their N x N Gram matrix
+when r > N, agrees with the per-group scatter formulas (a2_hat, b_hat) and
+the dense sigma0_hat; the scatters themselves are formed only when read.
 
 Designs have 2-3 groups of 4-8 rows, an optional within-group covariate,
 an optional all-zero design block, and p either above N (Gram form) or at
@@ -134,6 +135,31 @@ def test_wide_design_takes_the_gram_form(monkeypatch):
     assert np.max(np.abs(est.a2 - [a2_hat(S, q, t, n, 1) for S, q, t, n
                                    in zip(est.s, est.q, vd.tau, design.group_sizes)])) \
         <= 1e-10 * np.max(np.abs(est.a2))
+
+
+def test_narrow_design_forms_the_scatters_on_read(monkeypatch):
+    """With r <= N the estimate comes from one centring pass too: no r x r
+    scatter is formed by group_residual_scatter unless s is read."""
+    design = one_way_manova((9, 11), 6).design
+    proj = build_projections(design)
+    vd = variance_design(design, proj.weights)
+    X = np.random.default_rng(5).standard_normal((design.N, design.p))
+    calls = []
+    original = estimators.group_residual_scatter
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "group_residual_scatter", counted)
+    est = variance_from_data(X, design, proj.compressor, vd)
+    assert calls == []
+    assert len(est.s) == 2 and est.s[0].shape == (6, 6)
+    assert len(calls) == 2
+    assert est.s is est.s
+    assert np.max(np.abs(est.a2 - [a2_hat(S, q, t, n, 1) for S, q, t, n
+                                   in zip(est.s, est.q, vd.tau, design.group_sizes)])) \
+        <= 1e-12 * np.max(np.abs(est.a2))
 
 
 @pytest.mark.parametrize("p", [6, 30])
