@@ -16,7 +16,6 @@ from .design import (
     numerical_rank,
     projector,
     row_compressor,
-    solve_balancing_weights,
 )
 from .errors import (
     ConfigError,
@@ -74,7 +73,7 @@ __all__ = [
     "ConfigError", "DegenerateGroupError", "DesignError",
     "EstimatorUndefinedError", "GroupError", "NoBalancingSolution",
     "DesignSpec", "ProjectionSet", "projector", "hypothesis_projector",
-    "row_compressor", "solve_balancing_weights", "build_omega",
+    "row_compressor", "build_omega",
     "build_projections", "numerical_rank",
     "GroupedSample", "VarianceEstimate", "group_residual_scatter",
     "tau_coefficients", "a2_hat", "b_hat", "v_hat", "sigma0_hat",

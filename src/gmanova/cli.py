@@ -190,7 +190,12 @@ def cmd_test(args) -> int:
                                    levels=args.levels,
                                    effect=args.effect)
         design = scenario.design
-    report = run_test(sample, design, args.alpha, diagnostics=args.diagnostics)
+    try:
+        report = run_test(sample, design, args.alpha, diagnostics=args.diagnostics)
+    except GroupError as exc:  # the index alone follows the file's label order
+        detail = str(exc).partition(": ")[2]
+        raise ConfigError(f"{args.data}: design group {exc.group} "
+                          f"(label {sample.labels[exc.group]!r}): {detail}") from exc
     invocation = {"data": str(args.data), "design": str(args.design),
                   "scenario": args.scenario, "alpha": args.alpha,
                   "diagnostics": args.diagnostics, "header": args.header}
@@ -225,6 +230,8 @@ def _check(label: str, ok: bool, detail: str = "") -> bool:
 
 
 def cmd_diagnose(args) -> int:
+    if args.draws < 1:
+        raise ConfigError(f"--draws must be at least 1, got {args.draws}")
     config = load_config(args.config)
     base = Path(args.config).parent
     design, model, dists, alpha, _, seed = build_experiment(config, base)

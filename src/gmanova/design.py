@@ -10,8 +10,9 @@ matrix Omega that makes the trace statistic unbiased.  Rows of one group
 with equal rows of A form a row class; the projections, the weights and
 Omega are constant on classes, so they are built between class
 representatives, and Omega is also kept in the factored form the
-statistic is evaluated through.  Dense N x N matrices are expanded only
-on request.
+statistic is evaluated through.  The variance estimate's design constants
+are cached here too (DesignSpec.tau, ClassWeights.block_sums).  Dense
+N x N matrices are expanded only on request.
 """
 
 from __future__ import annotations
@@ -251,17 +252,18 @@ class DesignSpec:
             return build_projections(self)
 
     @cached_property
-    def variance_design(self):
-        """The design step of the variance estimate (estimators.variance_design
-        of the class weights): the tau coefficients and the omega o omega
-        block sums, read-only, the one every engine and estimate reads."""
-        from .estimators import variance_design
+    def tau(self) -> np.ndarray:
+        """The g x 3 tau coefficients, estimators.tau_coefficients of each
+        group's group_projector, read-only; raises naming the first group
+        for which they are undefined."""
+        from .estimators import group_projector, tau_coefficients
 
+        tau = np.empty((self.g, 3))
         with one_blas_thread():
-            vd = variance_design(self, self.projections.weights)
-        for M in (vd.tau, vd.blocks):
-            _read_only(M)
-        return vd
+            for i, U in enumerate(self.group_bases):
+                tau[i] = tau_coefficients(group_projector(U), self.group_sizes[i],
+                                          U.shape[1], group=i)
+        return _read_only(tau)
 
     def group_slice(self, i: int) -> slice:
         off = self.group_offsets[i]
@@ -322,6 +324,16 @@ class ClassWeights:
     d: np.ndarray
     e: np.ndarray
     omega: np.ndarray
+
+    @cached_property
+    def block_sums(self) -> np.ndarray:
+        """g x g sums of omega_ij^2 over pairs of distinct rows in each pair
+        of groups, read-only; every variance functional of the statistic
+        contracts against these."""
+        group = self.classes.group
+        offs = [sl.start for sl in group_spans(group, int(group[-1]) + 1)]
+        X = pair_counts(self.classes.sizes) * (self.omega * self.omega)
+        return _read_only(np.add.reduceat(np.add.reduceat(X, offs, axis=0), offs, axis=1))
 
     def expand(self, M: np.ndarray) -> np.ndarray:
         """The N x N matrix whose entry (i, j) is M at the classes of rows
@@ -594,29 +606,14 @@ def _balancing_weights(S: np.ndarray, h: np.ndarray,
     return d, e, rel
 
 
-def solve_balancing_weights(pi_a, h_diag) -> np.ndarray:
-    """Minimum-norm least-squares weights d for the entrywise-squared
-    centering system [(I - pi_a) o (I - pi_a)] d = h_diag.
-
-    Raises NoBalancingSolution when the relative residual exceeds
-    BALANCE_RTOL; the bias-corrected statistic is undefined for such designs.
-    """
-    pi_a = _as_matrix(pi_a, "pi_a")
-    h = np.asarray(h_diag, dtype=float).ravel()
-    if h.shape[0] != pi_a.shape[0]:
-        raise DesignError(f"h_diag has length {h.shape[0]}, expected {pi_a.shape[0]}")
-    return _balancing_weights(pi_a, h, np.ones(h.shape[0]))[0]
-
-
-def build_omega(pi_h, pi_a, d, sizes=None) -> np.ndarray:
-    """Weight matrix pi_h - (I - pi_a) diag(d) (I - pi_a), symmetric with an
-    exactly zero diagonal.
-
-    With sizes, the arguments are class blocks (pi_h and pi_a between class
-    representatives, d per class, n = sizes) and the result is the u x u
-    matrix of the weights between distinct rows of two classes,
+def build_omega(pi_h, pi_a, d, sizes) -> np.ndarray:
+    """The weights of pi_h - (I - pi_a) diag(d) (I - pi_a) between row
+    classes: from pi_h and pi_a between class representatives, d per class
+    and the class sizes n, the symmetric u x u matrix of the weights
+    between distinct rows of two classes,
     pi_h + pi_a o (d 1' + 1 d') - pi_a diag(n o d) pi_a, whose diagonal
-    holds the weight within a class (0 for a one-row class).
+    holds the weight within a class (0 for a one-row class, so with all
+    sizes 1 it is the N x N omega).
 
     A diagonal residue above OMEGA_DIAG_TOL means the supplied weights do not
     solve the balancing system and raises NoBalancingSolution.
@@ -624,7 +621,7 @@ def build_omega(pi_h, pi_a, d, sizes=None) -> np.ndarray:
     pi_h = _as_matrix(pi_h, "pi_h")
     pi_a = _as_matrix(pi_a, "pi_a")
     d = np.asarray(d, dtype=float).ravel()
-    n = np.ones(d.shape[0]) if sizes is None else np.asarray(sizes, dtype=float)
+    n = np.asarray(sizes, dtype=float)
     omega = pi_h + pi_a * (d[:, None] + d[None, :]) - (pi_a * (n * d)) @ pi_a
     omega = (omega + omega.T) / 2.0
     within = np.diag(omega).copy()
@@ -672,17 +669,6 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
                          weights=weights)
 
 
-def class_pairs(omega, group_sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(omega between classes, class sizes, class groups) of ClassWeights,
-    or of a dense N x N omega taken as N one-row classes."""
-    if isinstance(omega, ClassWeights):
-        c = omega.classes
-        return omega.omega, c.sizes.astype(float), c.group
-    omega = np.asarray(omega, dtype=float)
-    sizes = np.asarray(group_sizes, dtype=int)
-    return omega, np.ones(omega.shape[0]), np.repeat(np.arange(sizes.size), sizes)
-
-
 def pair_counts(n) -> np.ndarray:
     """u x u numbers of ordered pairs of distinct rows between classes of
     sizes n: n_c n_c' off the diagonal, n_c (n_c - 1) on it."""
@@ -692,18 +678,8 @@ def pair_counts(n) -> np.ndarray:
     return counts
 
 
-def omega_sq_block_sums(omega, group_sizes) -> np.ndarray:
-    """g x g sums of omega_ij^2 over pairs of distinct rows in each pair of
-    groups, from ClassWeights or a dense N x N omega; every variance
-    functional of the statistic contracts against these."""
-    w, n, group = class_pairs(omega, group_sizes)
-    offs = [sl.start for sl in group_spans(group, len(group_sizes))]
-    X = pair_counts(n) * (w * w)
-    return np.add.reduceat(np.add.reduceat(X, offs, axis=0), offs, axis=1)
-
-
 def group_spans(group, g: int) -> list[slice]:
     """The classes of each of the g groups as slices, for the nondecreasing
-    class groups of RowClasses or class_pairs."""
+    class groups of RowClasses."""
     bounds = np.searchsorted(group, np.arange(g + 1))
     return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]

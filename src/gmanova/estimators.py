@@ -6,12 +6,13 @@ the entrywise-squared residual maker, unbiased estimates of tr(Psi_i^2) and
 tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
-The estimate is computed here and nowhere else, in two steps:
-variance_design (tau coefficients and omega block sums, once per design,
-cached as DesignSpec.variance_design) and the data step (a2, b and sigma0
-for each matrix of a stack).  The data step needs tr S_i, tr(S_i S_j) and
-Q_i only.  centred_stack takes compressed rows Y and centres them in one
-pass on the block-diagonal basis U of the groups, R = Y - U(U'Y), through
+The estimate is computed here and nowhere else.  Its design constants,
+the tau coefficients and the omega o omega block sums, are cached once
+per design (DesignSpec.tau and ClassWeights.block_sums), so every step
+below takes only the data and the DesignSpec and gives a2, b and sigma0
+for each matrix of a stack.  It needs tr S_i, tr(S_i S_j) and Q_i only.
+centred_stack takes compressed rows Y and centres them in one pass on
+the block-diagonal basis U of the groups, R = Y - U(U'Y), through
 omega's CentredForm: the squared norms of the rows of R give tr S_i and
 Q_i and, with K-dimensional terms, T as well; tr(S_i S_j) comes from the
 unscaled r x r products R_i'R_i when r <= N, and otherwise from the N x N
@@ -32,7 +33,6 @@ import numpy as np
 
 from .design import (
     DesignSpec,
-    omega_sq_block_sums,
     projector,
     block_sq_norms,
     residual_basis,
@@ -100,8 +100,7 @@ class VarianceEstimate:
     tau coefficients, design-block ranks, the unbiased a2/b estimates, and
     sigma0_sq_hat itself (which may be non-positive for general designs; the
     sign is preserved, never clamped).  The estimate does not need the
-    scatters, so s is formed by `scatters` on first read, and the
-    block-expanded N x N matrix v_hat is built only when read.
+    scatters, so s is formed by `scatters` on first read.
     """
 
     q: np.ndarray
@@ -110,25 +109,11 @@ class VarianceEstimate:
     a2: np.ndarray
     b: np.ndarray
     sigma0_sq: float
-    group_sizes: tuple[int, ...]
     scatters: Callable[[], tuple[np.ndarray, ...]] = field(repr=False)
 
     @cached_property
     def s(self) -> tuple[np.ndarray, ...]:
         return self.scatters()
-
-    @property
-    def v(self) -> np.ndarray:
-        return v_hat(self.a2, self.b, self.group_sizes)
-
-
-@dataclass(frozen=True, eq=False)
-class VarianceDesign:
-    """The design step of the estimate: the g x 3 tau coefficients and the
-    g x g omega o omega block sums."""
-
-    tau: np.ndarray
-    blocks: np.ndarray
 
 
 def group_projector(U) -> np.ndarray:
@@ -289,19 +274,9 @@ def sigma0_from_blocks(blocks, a2, b):
     return float(s) if s.ndim == 0 else s
 
 
-def variance_design(design: DesignSpec, omega) -> VarianceDesign:
-    """Design step: the tau coefficients, and the omega o omega block sums
-    from the ClassWeights of the design (or a dense N x N omega)."""
-    tau = np.empty((design.g, 3))
-    for i, U in enumerate(design.group_bases):
-        tau[i] = tau_coefficients(group_projector(U), design.group_sizes[i],
-                                  U.shape[1], group=i)
-    return VarianceDesign(tau=tau, blocks=omega_sq_block_sums(omega, design.group_sizes))
-
-
-def centred_stack(Y, design: DesignSpec, vd: VarianceDesign):
-    """Data step for a (B, N, r) stack of compressed rows, given the design
-    step: (t, q, a2, b, sigma0_sq) with t and sigma0_sq (B,), q and a2
+def centred_stack(Y, design: DesignSpec):
+    """The estimate for a (B, N, r) stack of compressed rows:
+    (t, q, a2, b, sigma0_sq) with t and sigma0_sq (B,), q and a2
     (B, g), and b (B, g, g) with a zero diagonal.
 
     One centring pass serves all of it: with the matrices side by side as
@@ -318,22 +293,23 @@ def centred_stack(Y, design: DesignSpec, vd: VarianceDesign):
     t, R, sq = design.projections.factors.form.centre(side_by_side(Y), r)
     blocks = _blocks(R, r)
     if r > N:
-        return (t, *gram_variance(blocks @ blocks.swapaxes(1, 2), design, vd))
+        return (t, *gram_variance(blocks @ blocks.swapaxes(1, 2), design))
     g = design.g
     S = np.empty((n, g, r, r))
     for i in range(g):
         R_i = blocks[:, design.group_slice(i)]
         np.matmul(R_i.swapaxes(1, 2), R_i, out=S[:, i])
     S = S.reshape(n, g, r * r)
-    return (t, *_variance(sq.T, S @ S.swapaxes(1, 2), design, vd))
+    return (t, *_variance(sq.T, S @ S.swapaxes(1, 2), design))
 
 
-def residual_grams(G, U) -> np.ndarray:
+def residual_grams(G, design: DesignSpec) -> np.ndarray:
     """H = M G M for each N x N Gram G = E E' of a (B, N, N) stack, with
     M = I - U U' for the block-diagonal group basis U (DesignSpec.group_basis):
     the Grams of the group-centred rows.  As H = G - [U L] [L U]' with
     L = G U - U (U'G U) / 2, it takes one product of G with U and one
     rank-2 sum(k_i) update per Gram."""
+    U = design.group_basis
     L = np.matmul(G, U)
     L -= U @ (U.T @ L) / 2.0
     U = np.broadcast_to(U, L.shape)
@@ -341,7 +317,7 @@ def residual_grams(G, U) -> np.ndarray:
     return np.subtract(G, H, out=H)
 
 
-def gram_variance(H, design: DesignSpec, vd: VarianceDesign):
+def gram_variance(H, design: DesignSpec):
     """(q, a2, b, sigma0_sq) from a (B, N, N) stack of residual Grams
     H = R R' of the stacked group-centred rows R (overwritten): tr S_i and
     Q_i from the diagonal of H, tr(S_i S_j) = ||H_ij||^2 / (m_i m_j) from
@@ -350,7 +326,7 @@ def gram_variance(H, design: DesignSpec, vd: VarianceDesign):
     offs = design.group_offsets
     H *= H
     return _variance(sq, np.add.reduceat(np.add.reduceat(H, offs, axis=1), offs, axis=2),
-                     design, vd)
+                     design)
 
 
 def _residual_dof(design: DesignSpec) -> np.ndarray:
@@ -358,43 +334,28 @@ def _residual_dof(design: DesignSpec) -> np.ndarray:
     return np.asarray(design.group_sizes, dtype=float) - [U.shape[1] for U in design.group_bases]
 
 
-def _variance(sq, prod, design: DesignSpec, vd: VarianceDesign):
+def _variance(sq, prod, design: DesignSpec):
     """(q, a2, b, sigma0_sq) from the (B, N) squared norms of the centred
     rows and the (B, g, g) products m_i m_j tr(S_i S_j) (overwritten into
     b with a zero diagonal): tr S_i and Q_i are sums of the norms and of
-    their squares over each group, divided by m_i."""
+    their squares over each group, divided by m_i, and the design's tau
+    coefficients and block sums finish a2 and sigma0_sq."""
     m = _residual_dof(design)
     offs = design.group_offsets
     tr_s = np.add.reduceat(sq, offs, axis=1) / m
     q = np.add.reduceat(sq * sq, offs, axis=1) / m
     prod /= np.outer(m, m)
     diag = np.arange(len(m))
-    a2 = _a2(tr_s, prod[:, diag, diag], q, vd.tau, m)
+    a2 = _a2(tr_s, prod[:, diag, diag], q, design.tau, m)
     b = prod
     b[:, diag, diag] = 0.0
-    return q, a2, b, sigma0_from_blocks(vd.blocks, a2, b)
-
-
-def variance_from_data(X, design: DesignSpec, compressor,
-                       vd: VarianceDesign) -> VarianceEstimate:
-    """Data step for one N x p data matrix: centred_stack of its compressed
-    rows.  The scatters are formed by group_residual_scatter on first read
-    of s.
-    """
-    Y = compress(X, compressor)
-    _, q, a2, b, sigma0_sq = centred_stack(Y[None], design, vd)
-    bases = design.group_bases
-    s_read = lambda: tuple(
-        group_residual_scatter(Y[design.group_slice(i)], design.A_block(i), None,
-                               group=i, basis=U)[0]
-        for i, U in enumerate(bases))
-    return VarianceEstimate(q=q[0], tau=vd.tau, k=np.array([U.shape[1] for U in bases]),
-                            a2=a2[0], b=b[0], sigma0_sq=float(sigma0_sq[0]),
-                            group_sizes=design.group_sizes, scatters=s_read)
+    return q, a2, b, sigma0_from_blocks(design.projections.weights.block_sums, a2, b)
 
 
 def estimate_variance(sample: GroupedSample, design: DesignSpec) -> VarianceEstimate:
-    """Full variance-estimation pipeline over all groups of a sample."""
+    """Full variance-estimation pipeline over all groups of a sample:
+    centred_stack of its compressed rows.  The scatters are formed by
+    group_residual_scatter on first read of s."""
     if tuple(sample.group_sizes) != tuple(design.group_sizes):
         raise ConfigError(
             f"sample group sizes {sample.group_sizes} do not match design "
@@ -403,5 +364,13 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec) -> VarianceEsti
         raise ConfigError(
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
-    return variance_from_data(sample.X, design, design.projections.compressor,
-                              design.variance_design)
+    Y = compress(sample.X, design.projections.compressor)
+    _, q, a2, b, sigma0_sq = centred_stack(Y[None], design)
+    bases = design.group_bases
+    s_read = lambda: tuple(
+        group_residual_scatter(Y[design.group_slice(i)], design.A_block(i), None,
+                               group=i, basis=U)[0]
+        for i, U in enumerate(bases))
+    return VarianceEstimate(q=q[0], tau=design.tau, k=np.array([U.shape[1] for U in bases]),
+                            a2=a2[0], b=b[0], sigma0_sq=float(sigma0_sq[0]),
+                            scatters=s_read)

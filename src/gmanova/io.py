@@ -187,7 +187,8 @@ def load_design(path) -> DesignSpec:
         raise ConfigError(f"{path}: manifest has unknown keys {unknown}")
     sizes = manifest["group_sizes"]
     if (not isinstance(sizes, list) or not sizes
-            or not all(isinstance(n, int) and n > 0 for n in sizes)):
+            or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
+                       for n in sizes)):
         raise ConfigError(f"{path}: group_sizes must be a list of positive integers")
     mats = {k: _load_matrix(path.parent / manifest[k], k) for k in MATRIX_KEYS}
     return DesignSpec(A=mats["A"], B=mats["B"], L=mats["L"], R=mats["R"],

@@ -254,11 +254,11 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
     return errors, mean
 
 
-def replication_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
+def replication_sampler(design: DesignSpec, model: MeanModel, dists):
     """draw(seed, j, out=None): the N x p data matrix of replication j of a
     run keyed by seed, the errors of _error_sampler plus the model's mean,
     written into out (a C-contiguous N x p float array) when it is given."""
-    errors, mean = _error_sampler(design, model, dists, entries)
+    errors, mean = _error_sampler(design, model, dists)
 
     def draw(seed: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
         X = errors(seed, j, np.empty((design.N, design.p)) if out is None else out)

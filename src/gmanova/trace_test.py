@@ -6,9 +6,9 @@ diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
 sum_i e_i ||y_i||^2, read from one centring of Y on the groups' basis
 (design.CentredForm, the pass the variance estimate reads too), so no
 N x N matrix is read; it also takes the dense N x N Omega, the reference
-form.  The variance, the diagnostics and the
-exact variance decomposition read Omega between row classes (ClassWeights)
-and likewise accept the dense form.  run_test wires the full pipeline
+form.  The variance, the diagnostics and the exact variance decomposition
+read Omega between row classes only (ClassWeights, with its cached
+omega o omega block sums).  run_test wires the full pipeline
 (projections, per-group scatter, variance estimate, decision) for a single
 dataset, while TraceTestEngine precomputes every design-dependent quantity
 so Monte Carlo drivers pay only the data-dependent cost per replication.
@@ -32,9 +32,7 @@ from .design import (
     DesignSpec,
     OmegaFactors,
     ProjectionSet,
-    class_pairs,
     group_spans,
-    omega_sq_block_sums,
     pair_counts,
 )
 from .errors import ConfigError
@@ -151,7 +149,8 @@ class TraceTestEngine:
         self.design = design
         self.alpha = _check_alpha(alpha)
         self.projections = design.projections
-        self._variance = design.variance_design
+        # The variance's design constants; tau raises for a group without an a2.
+        design.tau, self.projections.weights.block_sums
 
     @property
     def omega(self) -> np.ndarray:
@@ -184,12 +183,10 @@ class TraceTestEngine:
                 f"or a stack of (B, {N}, {p}) data matrices or (B, {N}, {r}) "
                 f"compressed rows{grams}")
         if gram:
-            H = residual_grams(X, self.design.group_basis)
-            _, a2, b, sigma0_sq = gram_variance(H, self.design, self._variance)
+            _, a2, b, sigma0_sq = gram_variance(residual_grams(X, self.design), self.design)
             return self.projections.factors.gram_form(X), a2, b, sigma0_sq
         Y = compress(X, self.projections.compressor) if X.shape[-1] == p else X
-        t, _, a2, b, sigma0_sq = centred_stack(Y if Y.ndim == 3 else Y[None],
-                                               self.design, self._variance)
+        t, _, a2, b, sigma0_sq = centred_stack(Y if Y.ndim == 3 else Y[None], self.design)
         if X.ndim == 2:
             return float(t[0]), a2[0], b[0], float(sigma0_sq[0])
         return t, a2, b, sigma0_sq
@@ -314,8 +311,7 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     for i in range(g):
         for j in range(i, g):
             b[i, j] = b[j, i] = float(np.vdot(psis[i], psis[j]))
-    sigma0_sq = sigma0_from_blocks(
-        omega_sq_block_sums(proj.weights, design.group_sizes), b.diagonal(), b)
+    sigma0_sq = sigma0_from_blocks(proj.weights.block_sums, b.diagonal(), b)
     classes = proj.weights.classes
     if not np.any(design.A[classes.first] @ model.theta @ design.B.T):
         return sigma0_sq, sigma0_sq
@@ -355,17 +351,16 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
                            d1_bound: float | None = None) -> DiagnosticsReport:
     """Diagnostics for the regularity conditions behind the normal limit.
 
-    omega is the ClassWeights of the design or a dense N x N weight matrix.
-    psis are the symmetric compressed per-group covariances (population
-    matrices in simulation mode, sample scatters in plug-in mode).
-    m_rows/sigmas feed the mean-concentration ratio, m_rows with one row per
-    row class of ClassWeights or per row of a dense omega; when omitted
-    (plug-in mode, or a model whose weighted means vanish) that ratio is
-    exactly 0.
+    omega is the ClassWeights of the design.  psis are the symmetric
+    compressed per-group covariances (population matrices in simulation
+    mode, sample scatters in plug-in mode).  m_rows/sigmas feed the
+    mean-concentration ratio, m_rows with one row per row class; when
+    omitted (plug-in mode, or a model whose weighted means vanish) that
+    ratio is exactly 0.
     """
     sizes = tuple(int(n) for n in group_sizes)
     g = len(sizes)
-    w, n, group = class_pairs(omega, sizes)
+    w, n, group = omega.omega, omega.classes.sizes.astype(float), omega.classes.group
     if sum(sizes) != n.sum():
         raise ValueError(f"group sizes sum to {sum(sizes)} but omega has "
                          f"{n.sum():g} rows")
@@ -379,7 +374,7 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
                          "the weight-spread diagnostic is undefined")
     rho_n = float(np.max(vals) / np.min(nz))
 
-    active = omega_sq_block_sums(omega, sizes) > 0.0
+    active = omega.block_sums > 0.0
     psis = [np.asarray(Psi, dtype=float) for Psi in psis]
     if len(psis) != g:
         raise ValueError(f"{len(psis)} compressed covariances for {g} groups")

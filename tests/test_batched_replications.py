@@ -88,7 +88,8 @@ def cases(draw, layout, wide):
     mean = draw(st.sampled_from(("zero", "calibrated", "1e3 sigma")))
     direction = canonical_direction(design)
     try:
-        design.variance_design
+        design.projections
+        design.tau
         theta = calibrate_signal_ray(design, direction, sigmas,
                                      1.5 if mean == "calibrated" else 0.0)
     except (NoBalancingSolution, GroupError):
@@ -147,7 +148,7 @@ def _t_terms(design, Y) -> float:
 
 def _s0_terms(design, a2, b) -> float:
     """The magnitude of the terms of sigma0 from a2 and b."""
-    return 2.0 * np.sum(np.abs(design.variance_design.blocks * (b + np.diag(a2))))
+    return 2.0 * np.sum(np.abs(design.projections.weights.block_sums * (b + np.diag(a2))))
 
 
 def _recording(monkeypatch, calls):
@@ -239,14 +240,14 @@ def _scatter_oracle(design, E):
     """(a2, b, sigma0) from a2_hat, b_hat and the dense sigma0_hat on the
     group scatters of the compressed rows E, with the magnitudes of the
     terms each one sums."""
-    vd, g = design.variance_design, design.g
+    tau, g = design.tau, design.g
     S, a2, a2_terms = [], np.empty(g), np.empty(g)
     for i in range(g):
         S_i, Q_i, k_i = group_residual_scatter(E[design.group_slice(i)],
                                                design.A_block(i), None)
-        n_i, (t1, t2, t3) = design.group_sizes[i], vd.tau[i]
+        n_i, (t1, t2, t3) = design.group_sizes[i], tau[i]
         m, tr_s = n_i - k_i, float(np.trace(S_i))
-        a2[i] = a2_hat(S_i, Q_i, vd.tau[i], n_i, k_i)
+        a2[i] = a2_hat(S_i, Q_i, tau[i], n_i, k_i)
         a2_terms[i] = (abs(m * m * t2 - t1 * t1) * np.sum(S_i * S_i)
                        + abs(m * t2 - t1 * t1) * tr_s * tr_s
                        + abs(m - 1.0) * t1 * Q_i) / abs(m * t3)

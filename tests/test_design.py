@@ -16,10 +16,9 @@ from gmanova import (
     profile_parallelism,
     projector,
     row_compressor,
-    solve_balancing_weights,
     two_way_manova,
 )
-from gmanova.design import RANK_RTOL, _rank
+from gmanova.design import RANK_RTOL, _balancing_weights, _rank
 from gmanova.oracle import dense_min_norm_solve
 
 SCENARIOS = [
@@ -128,7 +127,7 @@ class TestBalancingWeights:
 
     def test_no_design_identity_system(self):
         h = np.array([0.3, 0.1, 0.6])
-        d = solve_balancing_weights(np.zeros((3, 3)), h)
+        d = _balancing_weights(np.zeros((3, 3)), h, np.ones(3))[0]
         assert np.allclose(d, h, atol=1e-12)
 
     def test_unbalanced_one_way_constant_within_group(self):
@@ -146,7 +145,7 @@ class TestBalancingWeights:
         A = np.array([[1.0], [2.0]])
         pi_a = projector(A)
         with pytest.raises(NoBalancingSolution):
-            solve_balancing_weights(pi_a, np.array([0.2, 0.8]))
+            _balancing_weights(pi_a, np.array([0.2, 0.8]), np.ones(2))
 
 
 class TestOmega:
@@ -165,13 +164,13 @@ class TestOmega:
 
     def test_zero_weights_pass_through(self):
         pi_h = np.array([[0.0, 0.4], [0.4, 0.0]])
-        omega = build_omega(pi_h, np.zeros((2, 2)), np.zeros(2))
+        omega = build_omega(pi_h, np.zeros((2, 2)), np.zeros(2), np.ones(2))
         assert np.array_equal(omega, pi_h)
 
     def test_inconsistent_weights_rejected(self):
         pi_h = np.eye(3) * 0.5
         with pytest.raises(NoBalancingSolution):
-            build_omega(pi_h, np.zeros((3, 3)), np.zeros(3))
+            build_omega(pi_h, np.zeros((3, 3)), np.zeros(3), np.ones(3))
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)

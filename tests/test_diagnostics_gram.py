@@ -26,7 +26,9 @@ from gmanova import (
 )
 from gmanova.oracle import a2_ratio_by_tuples
 from gmanova.scenarios import _ones_blocks, polynomial_basis
-from gmanova.trace_test import MeanModel, model_diagnostics
+from gmanova.trace_test import MeanModel, assumption_diagnostics, model_diagnostics
+
+from dense_forms import one_row_classes
 
 REL = 1e-12
 
@@ -131,6 +133,28 @@ def test_inactive_blocks_are_left_out():
     got = model_diagnostics(model, design).a2_ratio
     assert got == a2_ratio_by_tuples(small, proj.omega, sizes)
     assert got < 1.0
+
+
+def test_inactive_diagonal_blocks():
+    """With no weight within groups every diagonal block is inactive, so a
+    tuple the ratio reads has four distinct groups, and reads pair products
+    (b, a) with b > a, which V holds as the transposes of (a, b).  Hand-built
+    class weights: g = 4 groups of two one-row classes each."""
+    g, sizes = 4, (2, 2, 2, 2)
+    group = np.repeat(np.arange(g), sizes)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        W = rng.normal(size=(2 * g, 2 * g))
+        omega = W + W.T
+        omega[group[:, None] == group[None, :]] = 0.0
+        weights = one_row_classes(omega, sizes)
+        psis = []
+        for _ in range(g):
+            F = rng.normal(size=(3, 3))
+            psis.append(F @ F.T)
+        got = assumption_diagnostics(psis, weights, sizes).a2_ratio
+        dense = weights.expand(weights.omega)
+        assert _close(got, a2_ratio_by_tuples(psis, dense, sizes)), seed
 
 
 def test_an_asymmetric_covariance_is_read_as_its_symmetric_part():

@@ -17,18 +17,18 @@ from hypothesis import strategies as st
 from gmanova import (
     DesignSpec,
     GroupError,
+    GroupedSample,
     NoBalancingSolution,
     a2_hat,
     b_hat,
     build_projections,
+    estimate_variance,
     estimators,
     group_residual_scatter,
     one_way_manova,
     sigma0_hat,
     v_hat,
 )
-from gmanova.estimators import variance_design, variance_from_data
-
 REL = 1e-12
 
 
@@ -80,10 +80,10 @@ def test_data_step_matches_scatter_formulas(case):
     design, X = case
     try:
         proj = build_projections(design)
-        vd = variance_design(design, proj.weights)
+        tau = design.tau
     except (NoBalancingSolution, GroupError):
         assume(False)
-    est = variance_from_data(X, design, proj.compressor, vd)
+    est = estimate_variance(GroupedSample(X, design.group_sizes), design)
 
     g = design.g
     scatters, a2, scale = [], np.empty(g), np.empty(g)
@@ -91,8 +91,8 @@ def test_data_step_matches_scatter_formulas(case):
         sl = design.group_slice(i)
         S, Q, k = group_residual_scatter(X[sl], design.A_block(i), proj.compressor)
         m = design.group_sizes[i] - k
-        a2[i] = a2_hat(S, Q, vd.tau[i], design.group_sizes[i], k)
-        scale[i] = _a2_scale(S, Q, vd.tau[i], m)
+        a2[i] = a2_hat(S, Q, tau[i], design.group_sizes[i], k)
+        scale[i] = _a2_scale(S, Q, tau[i], m)
         scatters.append(S)
         assert est.k[i] == k
     b = np.zeros((g, g))
@@ -116,8 +116,6 @@ def test_data_step_matches_scatter_formulas(case):
 def test_wide_design_takes_the_gram_form(monkeypatch):
     """With r > N no r x r scatter is formed unless s is read."""
     design = one_way_manova((5, 6), 40).design
-    proj = build_projections(design)
-    vd = variance_design(design, proj.weights)
     X = np.random.default_rng(4).standard_normal((design.N, design.p))
     calls = []
     original = estimators.group_residual_scatter
@@ -127,13 +125,13 @@ def test_wide_design_takes_the_gram_form(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "group_residual_scatter", counted)
-    est = variance_from_data(X, design, proj.compressor, vd)
+    est = estimate_variance(GroupedSample(X, design.group_sizes), design)
     assert calls == []
     assert len(est.s) == 2 and est.s[0].shape == (40, 40)
     assert len(calls) == 2
     assert est.s is est.s
     assert np.max(np.abs(est.a2 - [a2_hat(S, q, t, n, 1) for S, q, t, n
-                                   in zip(est.s, est.q, vd.tau, design.group_sizes)])) \
+                                   in zip(est.s, est.q, design.tau, design.group_sizes)])) \
         <= 1e-10 * np.max(np.abs(est.a2))
 
 
@@ -141,8 +139,6 @@ def test_narrow_design_forms_the_scatters_on_read(monkeypatch):
     """With r <= N the estimate comes from one centring pass too: no r x r
     scatter is formed by group_residual_scatter unless s is read."""
     design = one_way_manova((9, 11), 6).design
-    proj = build_projections(design)
-    vd = variance_design(design, proj.weights)
     X = np.random.default_rng(5).standard_normal((design.N, design.p))
     calls = []
     original = estimators.group_residual_scatter
@@ -152,13 +148,13 @@ def test_narrow_design_forms_the_scatters_on_read(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "group_residual_scatter", counted)
-    est = variance_from_data(X, design, proj.compressor, vd)
+    est = estimate_variance(GroupedSample(X, design.group_sizes), design)
     assert calls == []
     assert len(est.s) == 2 and est.s[0].shape == (6, 6)
     assert len(calls) == 2
     assert est.s is est.s
     assert np.max(np.abs(est.a2 - [a2_hat(S, q, t, n, 1) for S, q, t, n
-                                   in zip(est.s, est.q, vd.tau, design.group_sizes)])) \
+                                   in zip(est.s, est.q, design.tau, design.group_sizes)])) \
         <= 1e-12 * np.max(np.abs(est.a2))
 
 
@@ -167,8 +163,7 @@ def test_k_and_q_match_the_groups(p):
     design = one_way_manova((5, 7), p).design
     proj = build_projections(design)
     X = np.random.default_rng(p).standard_normal((design.N, p))
-    est = variance_from_data(X, design, proj.compressor,
-                             variance_design(design, proj.weights))
+    est = estimate_variance(GroupedSample(X, design.group_sizes), design)
     for i in range(design.g):
         sl = design.group_slice(i)
         _, Q, k = group_residual_scatter(X[sl], design.A_block(i), proj.compressor)

@@ -102,6 +102,19 @@ class TestDesignRoundTrip:
         with pytest.raises(ConfigError, match="unknown keys"):
             load_design(d / "manifest.json")
 
+    def test_boolean_group_size_rejected(self, tmp_path, capsys):
+        """JSON true is a bool, not a group size of 1."""
+        manifest = write_design(one_way_manova((1, 8), 2).design, tmp_path / "d")
+        spec = json.loads(manifest.read_text())
+        spec["group_sizes"] = [True, 8]
+        manifest.write_text(json.dumps(spec))
+        with pytest.raises(ConfigError, match="group_sizes"):
+            load_design(manifest)
+        data = _write(tmp_path / "data.csv", "".join(
+            f"{'a' if i == 0 else 'b'},{i},{i * i % 5}\n" for i in range(9)))
+        assert main(["test", "--data", str(data), "--design", str(manifest)]) == 2
+        assert f"error: {manifest}: group_sizes" in capsys.readouterr().err
+
 
 class TestReportSerialization:
     def test_bitwise_round_trip(self, tmp_path):
@@ -203,6 +216,19 @@ class TestCli:
         data, _ = _dataset_csv(tmp_path, design)
         assert main(["test", "--data", str(data), "--scenario", "one-way"]) == 2
         assert "group 0" in capsys.readouterr().err
+
+    def test_failing_group_named_by_its_label(self, tmp_path, capsys):
+        """In a shuffled file the group index follows first appearance, so
+        the message names the group's label as well."""
+        rng = np.random.default_rng(3)
+        labels = ["ctrl"] * 6 + ["dose"] * 5 + ["treat"] * 2
+        rows = [f"{lab}," + ",".join(repr(float(v)) for v in rng.normal(size=3))
+                for lab in labels]
+        order = [0, 6, 11, 1, 7, 12, 2, 8, 3, 9, 4, 10, 5]  # treat is read third
+        data = _write(tmp_path / "shuffled.csv", "\n".join(rows[i] for i in order) + "\n")
+        assert main(["test", "--data", str(data), "--scenario", "one-way"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: design group 2 (label 'treat'): needs N_i - k_i >= 2" in err
 
     def test_dimension_mismatch_names_both(self, tmp_path, capsys):
         emit = tmp_path / "design"
@@ -326,6 +352,16 @@ class TestCli:
         assert "PASS" in out and "FAIL" not in out
         assert "row classes: 2 of 12 rows" in out
         assert "PASS  class balancing weights vs dense solve" in out
+
+    @pytest.mark.parametrize("draws", ["0", "-2"])
+    def test_diagnose_needs_a_draw(self, tmp_path, capsys, draws):
+        cfg = {"scenario": {"name": "one-way", "group_sizes": [6, 6], "p": 4},
+               "reps": 100, "seed": 5}
+        f = _write(tmp_path / "exp.json", json.dumps(cfg))
+        assert main(["diagnose", "--config", str(f), "--draws", draws]) == 2
+        captured = capsys.readouterr()
+        assert f"--draws must be at least 1, got {draws}" in captured.err
+        assert "PASS" not in captured.out
 
     def test_bad_config_exit_code(self, tmp_path):
         f = _write(tmp_path / "exp.json", '{"reps": 100}')

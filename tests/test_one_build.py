@@ -26,6 +26,7 @@ from gmanova import (
     build_projections,
     calibrate_signal_ray,
     canonical_direction,
+    estimate_variance,
     growth_curve,
     model_diagnostics,
     monte_carlo,
@@ -41,7 +42,6 @@ from gmanova import (
 )
 from gmanova import design as design_module
 from gmanova import estimators
-from gmanova.estimators import variance_design, variance_from_data
 from gmanova.scenarios import EFFECTS
 
 TOL = 1e-12
@@ -104,13 +104,15 @@ def test_cached_build_equals_a_fresh_build(case):
     _close(cached.h_diag, fresh.h_diag)
     assert not cached.weights.omega.flags.writeable and not cached.factors.d.flags.writeable
 
+    _close(cached.weights.block_sums, fresh.weights.block_sums)
+
     try:
-        vd = variance_design(design, cached.weights)
+        design.tau
     except GroupError:
         assume(False)
-    sigma0 = variance_from_data(X, design, cached.compressor, vd).sigma0_sq
-    want_sigma0 = variance_from_data(X, design, fresh.compressor,
-                                     variance_design(design, fresh.weights)).sigma0_sq
+    sample = GroupedSample(X, design.group_sizes)
+    sigma0 = estimate_variance(sample, design).sigma0_sq
+    want_sigma0 = estimate_variance(sample, _copy(design)).sigma0_sq
     t = statistic_t(X, cached.compressor, cached.factors)
     want_t = statistic_t(X, fresh.compressor, fresh.factors)
     _close(sigma0, want_sigma0)
@@ -169,7 +171,8 @@ def test_every_caller_shares_one_build_and_one_svd(case):
           np.random.default_rng(0).standard_normal((120, 12))))
 def test_every_caller_shares_one_variance_design(case):
     """The same run calls tau_coefficients once per group: the engine,
-    run_test and monte_carlo read DesignSpec.variance_design, read-only."""
+    run_test and monte_carlo read DesignSpec.tau and the block sums of
+    its class weights, read-only."""
     drawn, X = case
     calls = []
     tau = estimators.tau_coefficients
@@ -196,8 +199,8 @@ def test_every_caller_shares_one_variance_design(case):
                     threads=1)
 
     assert calls == list(range(design.g))
-    vd = design.variance_design
-    assert not vd.tau.flags.writeable and not vd.blocks.flags.writeable
+    assert not design.tau.flags.writeable
+    assert not design.projections.weights.block_sums.flags.writeable
 
 
 def _block_design(sizes, kinds, k, seed) -> DesignSpec:
@@ -234,11 +237,11 @@ def block_designs(draw):
 @given(block_designs())
 @example(_block_design((5, 6, 7), ("zero", "deficient", "full"), 3, 0))
 def test_tau_from_the_basis_matches_the_projector_route(design):
-    """variance_design reads k_i and the projector from one SVD of each
+    """DesignSpec.tau reads k_i and the projector from one SVD of each
     block; the reference is tau_coefficients of projector(A_i) (zero for an
     all-zero block) at the rank numerical_rank gives."""
     try:
-        tau = variance_design(design, np.zeros((design.N, design.N))).tau
+        tau = design.tau
     except GroupError:
         assume(False)
     for i, n in enumerate(design.group_sizes):

@@ -2,11 +2,14 @@
 N x N build over random designs.
 
 The reference solves the balancing system on the N x N (I - pi_a) o
-(I - pi_a) with oracle.dense_min_norm_solve and applies build_omega to the
-dense projector(A) and hypothesis_projector.  Compared within 1e-10
-relative: the balancing weights d, the residuals e, the relative residual,
-the lazily expanded omega, the omega o omega block sums, every field of
-the population and plug-in diagnostics, and sigma_full.  A design without
+(I - pi_a) with oracle.dense_min_norm_solve and applies build_omega, with
+every row its own class, to the dense projector(A) and
+hypothesis_projector.  The block sums and diagnostics of the dense omega
+are read with it held as N one-row classes (dense_forms.one_row_classes).
+Compared within 1e-10 relative: the balancing weights d, the residuals e,
+the relative residual, the lazily expanded omega, the omega o omega block
+sums, every field of the population and plug-in diagnostics, and
+sigma_full.  A design without
 balancing weights must raise the same exception on both routes.
 
 Layouts: one-way, two-way, profile and growth designs; an intercept-only A
@@ -44,9 +47,11 @@ from gmanova import (
     sigma_full,
     two_way_manova,
 )
-from gmanova.design import BALANCE_RTOL, omega_sq_block_sums, residual_basis
+from gmanova.design import BALANCE_RTOL, residual_basis
 from gmanova.oracle import dense_min_norm_solve
 from gmanova.scenarios import EFFECTS
+
+from dense_forms import one_row_classes
 
 LAYOUTS = ("one-way", "two-way", "profile", "growth", "shared", "covariate",
            "two-row", "binary", "regression")
@@ -105,7 +110,7 @@ def dense_build(design):
     rel = resid / np.linalg.norm(h)
     if rel > BALANCE_RTOL:
         raise NoBalancingSolution(f"relative residual {rel:.3e}")
-    omega = build_omega(pi_h, pi_a, d)
+    omega = build_omega(pi_h, pi_a, d, np.ones(design.N))
     return pi_a, pi_h, d, h - (C * C) @ d, rel, omega
 
 
@@ -157,15 +162,15 @@ def test_class_build_matches_dense_build(layout, data):
     assert close(proj.pi_a, pi_a) and close(proj.pi_h, pi_h)
     assert close(proj.omega, omega)
     sizes = design.group_sizes
-    blocks = omega_sq_block_sums(omega, sizes)
-    assert close(omega_sq_block_sums(proj.weights, sizes), blocks)
+    dense = one_row_classes(omega, sizes)
+    assert close(proj.weights.block_sums, dense.block_sums)
 
     sigma, sigma0, psis, M = dense_sigma(model, design, proj, omega)
     got_sigma, got_sigma0 = sigma_full(model, design, proj)
     assert close(got_sigma, sigma) and close(got_sigma0, sigma0)
 
     pre = design.A @ model.theta @ design.B.T @ proj.compressor.T
-    want = assumption_diagnostics(psis, omega, sizes, m_rows=M, sigmas=model.sigmas,
+    want = assumption_diagnostics(psis, dense, sizes, m_rows=M, sigmas=model.sigmas,
                                   m_scale=float(np.max(np.abs(pre))))
     assert same_report(model_diagnostics(model, design), want)
 
@@ -176,7 +181,7 @@ def test_class_build_matches_dense_build(layout, data):
         return
     event("built and tested")
     scatters = estimate_variance(GroupedSample(X, sizes), design).s
-    want = assumption_diagnostics(scatters, omega, sizes, heuristic=True)
+    want = assumption_diagnostics(scatters, dense, sizes, heuristic=True)
     assert same_report(report.diagnostics, want)
 
 

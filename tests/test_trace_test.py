@@ -23,6 +23,8 @@ from gmanova import (
 from gmanova.oracle import t_by_decomposition
 from gmanova.trace_test import _decide
 
+from dense_forms import one_row_classes
+
 
 def _regression_design():
     # single-group design with a covariate; its a2 estimate can go negative
@@ -184,7 +186,7 @@ class TestDiagnostics:
         design = one_way_manova((3, 3), 4).design
         proj = build_projections(design)
         psis = [np.eye(4), np.eye(4)]
-        diag = assumption_diagnostics(psis, proj.omega, (3, 3))
+        diag = assumption_diagnostics(psis, proj.weights, (3, 3))
         assert diag.rho_n == pytest.approx((1 / 4) ** 2 / (1 / 6) ** 2, rel=1e-10)
 
     def test_null_model_mean_ratio_zero(self):
@@ -206,24 +208,25 @@ class TestDiagnostics:
         design = one_way_manova((4, 4, 4), p).design
         proj = build_projections(design)
         psis = [np.eye(p)] * 3
-        diag = assumption_diagnostics(psis, proj.omega, (4, 4, 4))
+        diag = assumption_diagnostics(psis, proj.weights, (4, 4, 4))
         assert diag.a2_ratio == pytest.approx(p / (3 * 3 * p) ** 2, rel=1e-10)
 
     def test_all_zero_weights_undefined(self):
         with pytest.raises(ValueError):
-            assumption_diagnostics([np.eye(2)], np.zeros((3, 3)), (3,))
+            assumption_diagnostics([np.eye(2)], one_row_classes(np.zeros((3, 3)), (3,)),
+                                   (3,))
 
     def test_d1_bound_passthrough(self):
         design = one_way_manova((3, 3), 2).design
         proj = build_projections(design)
-        diag = assumption_diagnostics([np.eye(2)] * 2, proj.omega, (3, 3),
+        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights, (3, 3),
                                       d1_bound=4.5)
         assert diag.d1_bound == 4.5
 
     def test_group_imbalance(self):
         design = one_way_manova((4, 8), 2).design
         proj = build_projections(design)
-        diag = assumption_diagnostics([np.eye(2)] * 2, proj.omega, (4, 8))
+        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights, (4, 8))
         assert diag.group_imbalance == 2.0
 
 
