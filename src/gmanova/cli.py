@@ -29,7 +29,6 @@ from .io import (
     write_report,
     write_summary,
 )
-from .oracle import dense_min_norm_solve, t_by_decomposition
 from .scenarios import (
     EFFECTS,
     SCENARIO_NAMES,
@@ -61,7 +60,7 @@ def _parse_sizes(text: str, what: str) -> tuple[int, ...]:
 
 
 def _build_scenario(name: str, group_sizes, p: int, *, degree=None,
-                    levels=None, cell_sizes=None, effect=None) -> Scenario:
+                    levels=None, effect=None) -> Scenario:
     if name == "one-way":
         return one_way_manova(group_sizes, p)
     if name == "profile-parallelism":
@@ -73,27 +72,18 @@ def _build_scenario(name: str, group_sizes, p: int, *, degree=None,
     if name == "two-way":
         if levels is None or effect is None:
             raise ConfigError("two-way scenario needs factor levels and an effect")
-        cells = cell_sizes if cell_sizes is not None else group_sizes
-        if cells is None:
-            raise ConfigError("two-way scenario needs cell sizes")
-        return two_way_manova(levels[0], levels[1], cells, p, effect)
+        return two_way_manova(levels[0], levels[1], group_sizes, p, effect)
     raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIO_NAMES}")
 
 
-def _scenario_from_config(spec: dict, p_hint: int | None = None) -> Scenario:
+def _scenario_from_config(spec: dict) -> Scenario:
     name = spec["name"]
-    p = spec.get("p", p_hint)
-    if p is None:
+    if "p" not in spec:
         raise ConfigError("scenario needs 'p'")
-    if name == "two-way":
-        return _build_scenario(name, spec.get("group_sizes"), p,
-                               levels=spec.get("levels"),
-                               cell_sizes=spec.get("cell_sizes"),
-                               effect=spec.get("effect"))
-    sizes = spec.get("group_sizes")
-    if sizes is None:
+    if "group_sizes" not in spec:
         raise ConfigError(f"scenario {name!r} needs 'group_sizes'")
-    return _build_scenario(name, sizes, p, degree=spec.get("degree"))
+    return _build_scenario(name, spec["group_sizes"], spec["p"], degree=spec.get("degree"),
+                           levels=spec.get("levels"), effect=spec.get("effect"))
 
 
 def _broadcast(specs, g: int, what: str) -> list:
@@ -230,6 +220,8 @@ def _check(label: str, ok: bool, detail: str = "") -> bool:
 
 
 def cmd_diagnose(args) -> int:
+    from .oracle import dense_min_norm_solve, t_by_decomposition  # only this verb reads them
+
     if args.draws < 1:
         raise ConfigError(f"--draws must be at least 1, got {args.draws}")
     config = load_config(args.config)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from math import sqrt
 
 import numpy as np
 
@@ -77,9 +76,9 @@ class CovarianceEntry:
 
     def colouring(self, S: np.ndarray):
         """(root, scale) for colouring standard rows with S: its symmetric
-        root and None, or for a diagonal S None and the scale (a number or
-        one per column; None for the identity).  Raises ValueError when S
-        is not positive definite."""
+        root and None, or for a diagonal S None and the scale of each
+        column (None for the identity).  Raises ValueError when S is not
+        positive definite."""
         w0, ok, root = self._factorize(S)
         if not ok:
             raise ValueError(
@@ -87,9 +86,7 @@ class CovarianceEntry:
         if root is not None:
             return root, None
         d = np.diag(S)
-        if np.all(d == d[0]):
-            return None, None if d[0] == 1.0 else sqrt(float(d[0]))
-        return None, _read_only(np.sqrt(d))
+        return None, None if np.all(d == 1.0) else _read_only(np.sqrt(d))
 
 
 def lookup(sigmas):

@@ -9,8 +9,9 @@ diagonal bias of the naive quadratic form, and the zero-diagonal weight
 matrix Omega that makes the trace statistic unbiased.  Rows of one group
 with equal rows of A form a row class; the projections, the weights and
 Omega are constant on classes, so they are built between class
-representatives, and Omega is also kept in the factored form the
-statistic is evaluated through.  The variance estimate's design constants
+representatives, and Omega is also kept in factored form
+(OmegaFactors), whose one centring pass gives the statistic and the
+variance estimate's row norms.  The variance estimate's design constants
 are cached here too (DesignSpec.tau, ClassWeights.block_sums).  Dense
 N x N matrices are expanded only on request.
 """
@@ -350,22 +351,72 @@ class OmegaFactors:
 
     with W the ell x N root of pi_h, Q the N x k orthonormal basis of A, d
     the balancing weights and e = h - (C o C) d the balancing residual, so
-    that the diagonal of omega is exactly zero, and form, omega's
-    CentredForm on the block-diagonal basis of the groups.  No N x N matrix
-    is formed.
+    that the diagonal of omega is exactly zero.  No N x N matrix is formed.
+
+    T = tr(Y' omega Y) is read from one centring of Y on an orthonormal
+    N x K basis U whose span holds range(A), the block-diagonal basis of
+    the groups.  The rows of W lie in range(A), so W Y = (W U) V with
+    V = U'Y.  With R = Y - U V each row is y_i = R_i + u_i V, and
+    (C Y)_i = R_i + u_i Z with Z = (I - G G') V, G = U'Q (Z = 0 when
+    rank A = K, as span(Q) is then span(U)).  For the weights w = e
+    (X = V) and w = d (X = Z),
+
+        sum_i w_i ||R_i + u_i X||^2
+            = w' sq + <X, 2 (U'diag(w) Y - U_w V) + U_w X>,
+
+    U_w = U'diag(w) U, so T needs the squared row norms sq of R and
+    K-dimensional terms only.  lift stacks U', (e o U)' and, when
+    rank A < K, (d o U)': one product lift Y gives V and each
+    U'diag(w) Y.  terms holds (U_w, I - G G' or None for X = V) per
+    weight, in the order of lift, wu = W U and de = d + e.
     """
 
     w: np.ndarray
     q: np.ndarray
     d: np.ndarray
     e: np.ndarray
-    form: CentredForm
+    u: np.ndarray
+    lift: np.ndarray
+    wu: np.ndarray
+    de: np.ndarray
+    terms: tuple
+
+    @classmethod
+    def build(cls, w, q, d, e, u) -> "OmegaFactors":
+        K = u.shape[1]
+        weights, terms = [e], [(u.T @ (e[:, None] * u), None)]
+        if q.shape[1] < K:
+            G = u.T @ q
+            weights.append(d)
+            terms.append((u.T @ (d[:, None] * u), np.eye(K) - G @ G.T))
+        lift = np.vstack([u.T] + [(v[:, None] * u).T for v in weights])
+        return cls(w=w, q=q, d=d, e=e, u=u, lift=lift, wu=w @ u, de=d + e,
+                   terms=tuple(terms))
+
+    def centre(self, Z, r: int):
+        """(t, R, sq) for a side-by-side matrix Z of r-column blocks: T of
+        each block, the rows R = Z - U U'Z centred on U, and their N x B
+        squared norms."""
+        K = self.u.shape[1]
+        lifted = self.lift @ Z
+        V = lifted[:K]
+        R = self.u @ V
+        np.subtract(Z, R, out=R)
+        sq = block_sq_norms(R, r)
+        WV = self.wu @ V
+        t = _block_dots(WV, WV, r) - self.de @ sq
+        for j, (M, fold) in enumerate(self.terms, start=1):
+            X = V if fold is None else fold @ V
+            P = lifted[j * K:(j + 1) * K] - M @ V
+            P *= 2.0
+            P += M @ X
+            t -= _block_dots(X, P, r)
+        return t, R, sq
 
     def quadratic_form(self, Y) -> float:
-        """tr(Y' omega Y) for an N x r matrix Y, through form: one
-        centring of Y on the groups' basis, in O(N (K + ell) r) for
-        K = sum(k_i)."""
-        return float(self.form.centre(Y, Y.shape[1])[0][0])
+        """tr(Y' omega Y) for an N x r matrix Y: one centring of Y on the
+        groups' basis, in O(N (K + ell) r) for K = sum(k_i)."""
+        return float(self.centre(Y, Y.shape[1])[0][0])
 
     def gram_form(self, G):
         """tr(omega G) for the N x N Gram G = Y Y' of each matrix of a
@@ -388,63 +439,6 @@ class OmegaFactors:
         CY *= self.d[:, None]
         CY -= self.q @ (self.q.T @ CY)
         return self.w.T @ (self.w @ Y) - CY - self.e[:, None] * Y
-
-
-@dataclass(frozen=True, eq=False)
-class CentredForm:
-    """tr(Y' omega Y) read from one centring of Y on an orthonormal N x K
-    basis U whose span holds range(A), here the block-diagonal basis of the
-    groups.  The rows of W lie in range(A), so W Y = (W U) V with V = U'Y.
-    With R = Y - U V each row is y_i = R_i + u_i V, and
-    (C Y)_i = R_i + u_i Z with Z = (I - G G') V, G = U'Q (Z = 0 when
-    rank A = K, as span(Q) is then span(U)).  For the weights w = e
-    (X = V) and w = d (X = Z),
-
-        sum_i w_i ||R_i + u_i X||^2
-            = w' sq + <X, 2 (U'diag(w) Y - U_w V) + U_w X>,
-
-    U_w = U'diag(w) U, so T needs the squared row norms sq of R and
-    K-dimensional terms only.  lift stacks U', (e o U)' and, when
-    rank A < K, (d o U)': one product lift Y gives V and each
-    U'diag(w) Y.  terms holds (U_w, I - G G' or None for X = V) per
-    weight, in the order of lift, and de = d + e."""
-
-    u: np.ndarray
-    lift: np.ndarray
-    wu: np.ndarray
-    de: np.ndarray
-    terms: tuple
-
-    @classmethod
-    def build(cls, w, q, d, e, u) -> "CentredForm":
-        K = u.shape[1]
-        weights, terms = [e], [(u.T @ (e[:, None] * u), None)]
-        if q.shape[1] < K:
-            G = u.T @ q
-            weights.append(d)
-            terms.append((u.T @ (d[:, None] * u), np.eye(K) - G @ G.T))
-        lift = np.vstack([u.T] + [(v[:, None] * u).T for v in weights])
-        return cls(u=u, lift=lift, wu=w @ u, de=d + e, terms=tuple(terms))
-
-    def centre(self, Z, r: int):
-        """(t, R, sq) for a side-by-side matrix Z of r-column blocks: T of
-        each block, the rows R = Z - U U'Z centred on U, and their N x B
-        squared norms."""
-        K = self.u.shape[1]
-        lifted = self.lift @ Z
-        V = lifted[:K]
-        R = self.u @ V
-        np.subtract(Z, R, out=R)
-        sq = block_sq_norms(R, r)
-        WV = self.wu @ V
-        t = _block_dots(WV, WV, r) - self.de @ sq
-        for j, (M, fold) in enumerate(self.terms, start=1):
-            X = V if fold is None else fold @ V
-            P = lifted[j * K:(j + 1) * K] - M @ V
-            P *= 2.0
-            P += M @ X
-            t -= _block_dots(X, P, r)
-        return t, R, sq
 
 
 def _block_dots(X, Y, r: int) -> np.ndarray:
@@ -487,14 +481,6 @@ class ProjectionSet:
         return _read_only(omega)
 
 
-def side_by_side(Y) -> np.ndarray:
-    """The matrices of a (B, N, r) stack side by side, as the N x (B r)
-    matrix [Y_1 ... Y_B]: a view when the stack's memory runs over N first
-    (a transposed (N, B, r) array), else a copy.  An N x r matrix is
-    returned as it is."""
-    return Y if Y.ndim == 2 else Y.swapaxes(0, 1).reshape(Y.shape[1], -1)
-
-
 def block_sq_norms(Z, r: int) -> np.ndarray:
     """N x B squared norms of the rows of each r-column block of a
     side-by-side matrix Z.  Rows of 8 or more columns are summed in one
@@ -532,15 +518,12 @@ def projector(M) -> np.ndarray:
     return (P + P.T) / 2.0
 
 
-def hypothesis_projector(design: DesignSpec, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Projection onto the span of A(A'A)^{-1}L', with its diagonal; with
-    rows, only its block between those rows.
-
-    The full matrix has rank equal to the number of rows of L.
+def hypothesis_projector(design: DesignSpec, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The block between the given rows of the projection onto the span of
+    A(A'A)^{-1}L', with its diagonal.  All N rows give the full matrix,
+    whose rank is the number of rows of L.
     """
-    W = design.hypothesis_root
-    if rows is not None:
-        W = W[:, rows]
+    W = design.hypothesis_root[:, rows]
     pi_h = W.T @ W
     pi_h = (pi_h + pi_h.T) / 2.0
     return pi_h, np.diag(pi_h).copy()
@@ -655,15 +638,14 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     d, e, rel = _balancing_weights(pi_a, h, n)
     omega = build_omega(pi_h, pi_a, d, n)
     h, row_d, row_e = h[classes.index], d[classes.index], e[classes.index]
-    w = design.hypothesis_root
-    form = CentredForm.build(w, q, row_d, row_e, design.group_basis)
+    factors = OmegaFactors.build(design.hypothesis_root, q, row_d, row_e, design.group_basis)
     for M in (*vars(classes).values(), pi_a, pi_h, d, e, omega, compressor, h, row_d, row_e,
-              form.lift, form.wu, form.de, *(M for term in form.terms for M in term)):
+              factors.lift, factors.wu, factors.de,
+              *(M for term in factors.terms for M in term)):
         if M is not None:
             _read_only(M)
     weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, d=d, e=e,
                            omega=omega)
-    factors = OmegaFactors(w=w, q=q, d=row_d, e=row_e, form=form)
     return ProjectionSet(h_diag=h, compressor=compressor, d=row_d,
                          balancing_residual=rel, factors=factors,
                          weights=weights)

@@ -13,7 +13,7 @@ below takes only the data and the DesignSpec and gives a2, b and sigma0
 for each matrix of a stack.  It needs tr S_i, tr(S_i S_j) and Q_i only.
 centred_stack takes compressed rows Y and centres them in one pass on
 the block-diagonal basis U of the groups, R = Y - U(U'Y), through
-omega's CentredForm: the squared norms of the rows of R give tr S_i and
+OmegaFactors.centre: the squared norms of the rows of R give tr S_i and
 Q_i and, with K-dimensional terms, T as well; tr(S_i S_j) comes from the
 unscaled r x r products R_i'R_i when r <= N, and otherwise from the N x N
 Gram H = R R', as tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
@@ -36,7 +36,6 @@ from .design import (
     projector,
     block_sq_norms,
     residual_basis,
-    side_by_side,
 )
 from .errors import ConfigError, DegenerateGroupError, DesignError, EstimatorUndefinedError
 
@@ -96,15 +95,15 @@ class GroupedSample:
 
 @dataclass(frozen=True, eq=False)
 class VarianceEstimate:
-    """Everything the null-variance estimate is made of: per-group S_i, Q_i,
-    tau coefficients, design-block ranks, the unbiased a2/b estimates, and
-    sigma0_sq_hat itself (which may be non-positive for general designs; the
-    sign is preserved, never clamped).  The estimate does not need the
-    scatters, so s is formed by `scatters` on first read.
+    """Everything the null-variance estimate is made of: per-group Q_i,
+    design-block ranks k_i, the unbiased a2/b estimates, and sigma0_sq_hat
+    itself (which may be non-positive for general designs; the sign is
+    preserved, never clamped).  The tau coefficients are the design's
+    (DesignSpec.tau).  The estimate does not need the scatters S_i, so s is
+    formed by `scatters` on first read.
     """
 
     q: np.ndarray
-    tau: np.ndarray
     k: np.ndarray
     a2: np.ndarray
     b: np.ndarray
@@ -152,12 +151,11 @@ def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0, basis=None):
     and k_i the numerical rank of the group design block.  The rows are
     compressed first (compressor None: they already are), then centred on
     the orthonormal basis of A_i: basis, when given, else
-    residual_basis(A_i).  For a (B, N_i, .) stack of the group's rows, S_i
-    is (B, r, r) and Q_i an array of B values.
+    residual_basis(A_i).
     """
     X_i = np.asarray(X_i, dtype=float)
     A_i = np.asarray(A_i, dtype=float)
-    n_i = X_i.shape[-2]
+    n_i = X_i.shape[0]
     if A_i.shape[0] != n_i:
         raise DesignError(
             f"group {group}: A block has {A_i.shape[0]} rows but data has {n_i}")
@@ -165,16 +163,12 @@ def group_residual_scatter(X_i, A_i, compressor, *, group: int = 0, basis=None):
     k_i = U.shape[1]
     m = n_i - k_i
     Y = compress(X_i, compressor)
-    r = Y.shape[-1]
-    Z = side_by_side(Y)
-    resid = U @ (U.T @ Z)
-    np.subtract(Z, resid, out=resid)
-    blocks = _blocks(resid, r)
-    S = blocks.swapaxes(1, 2) @ blocks
+    resid = U @ (U.T @ Y)
+    np.subtract(Y, resid, out=resid)
+    S = resid.T @ resid
     S /= m
-    sq = block_sq_norms(resid, r)
-    Q = np.einsum("ib,ib->b", sq, sq) / m
-    return (S, Q, k_i) if Y.ndim == 3 else (S[0], float(Q[0]), k_i)
+    sq = block_sq_norms(resid, Y.shape[1])
+    return S, float(np.einsum("ib,ib->b", sq, sq)[0]) / m, k_i
 
 
 def tau_coefficients(pi_a_i, n_i: int, k_i: int, *, group: int = 0):
@@ -280,7 +274,9 @@ def centred_stack(Y, design: DesignSpec):
     (B, g), and b (B, g, g) with a zero diagonal.
 
     One centring pass serves all of it: with the matrices side by side as
-    Z, omega's CentredForm centres Z on the block-diagonal basis U of the
+    the N x (B r) matrix Z = [Y_1 ... Y_B] (a view when the stack's memory
+    runs over N first, a transposed (N, B, r) array, else a copy),
+    OmegaFactors.centre centres Z on the block-diagonal basis U of the
     groups, R = Z - U U'Z, and the squared norms of the rows of R give
     tr S_i, Q_i and, with K-dimensional terms, t (bitwise the t of
     OmegaFactors.quadratic_form).  tr(S_i S_j) comes from the unscaled
@@ -290,7 +286,7 @@ def centred_stack(Y, design: DesignSpec):
     vectorised step over the stack.
     """
     n, N, r = Y.shape
-    t, R, sq = design.projections.factors.form.centre(side_by_side(Y), r)
+    t, R, sq = design.projections.factors.centre(Y.swapaxes(0, 1).reshape(N, -1), r)
     blocks = _blocks(R, r)
     if r > N:
         return (t, *gram_variance(blocks @ blocks.swapaxes(1, 2), design))
@@ -371,6 +367,6 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec) -> VarianceEsti
         group_residual_scatter(Y[design.group_slice(i)], design.A_block(i), None,
                                group=i, basis=U)[0]
         for i, U in enumerate(bases))
-    return VarianceEstimate(q=q[0], tau=design.tau, k=np.array([U.shape[1] for U in bases]),
+    return VarianceEstimate(q=q[0], k=np.array([U.shape[1] for U in bases]),
                             a2=a2[0], b=b[0], sigma0_sq=float(sigma0_sq[0]),
                             scatters=s_read)

@@ -283,7 +283,6 @@ _SCENARIO_SCHEMA = {
         "p": {"type": "integer"},
         "levels": {"type": "array", "items": {"type": "integer"},
                    "minItems": 2, "maxItems": 2},
-        "cell_sizes": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
         "effect": {"enum": list(EFFECTS)},
         "degree": {"type": "integer"},
     },

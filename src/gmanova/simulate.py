@@ -255,13 +255,12 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
 
 
 def replication_sampler(design: DesignSpec, model: MeanModel, dists):
-    """draw(seed, j, out=None): the N x p data matrix of replication j of a
-    run keyed by seed, the errors of _error_sampler plus the model's mean,
-    written into out (a C-contiguous N x p float array) when it is given."""
+    """draw(seed, j): the N x p data matrix of replication j of a run keyed
+    by seed, the errors of _error_sampler plus the model's mean."""
     errors, mean = _error_sampler(design, model, dists)
 
-    def draw(seed: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
-        X = errors(seed, j, np.empty((design.N, design.p)) if out is None else out)
+    def draw(seed: int, j: int) -> np.ndarray:
+        X = errors(seed, j, np.empty((design.N, design.p)))
         if mean is not None:
             X += mean
         return X

@@ -4,18 +4,19 @@ statistic_t evaluates T = tr(P X' Omega X P') on the compressed N x r
 matrix Y = X P' through Omega's factors (Omega = W'W - C diag(d) C -
 diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
 sum_i e_i ||y_i||^2, read from one centring of Y on the groups' basis
-(design.CentredForm, the pass the variance estimate reads too), so no
-N x N matrix is read; it also takes the dense N x N Omega, the reference
-form.  The variance, the diagnostics and the exact variance decomposition
-read Omega between row classes only (ClassWeights, with its cached
-omega o omega block sums).  run_test wires the full pipeline
-(projections, per-group scatter, variance estimate, decision) for a single
-dataset, while TraceTestEngine precomputes every design-dependent quantity
-so Monte Carlo drivers pay only the data-dependent cost per replication.
-The module also provides the population functionals (the hypothesis
-distance q, the exact variance decomposition, the asymptotic power curve)
-and computable diagnostics for the regularity conditions the normal
-approximation relies on.
+(design.OmegaFactors.centre, the pass the variance estimate reads too),
+so no N x N matrix is read; it also takes the dense N x N Omega, the
+reference form.  The variance, the diagnostics and the exact variance
+decomposition read Omega between row classes only (ClassWeights, with
+its cached omega o omega block sums, class sizes and groups), and every
+compressed covariance through _compressed_covariance.  run_test wires
+the full pipeline (projections, per-group scatter, variance estimate,
+decision) for a single dataset, while TraceTestEngine precomputes every
+design-dependent quantity so Monte Carlo drivers pay only the
+data-dependent cost per replication.  The module also provides the
+population functionals (the hypothesis distance q, the exact variance
+decomposition, the asymptotic power curve) and computable diagnostics
+for the regularity conditions the normal approximation relies on.
 """
 
 from __future__ import annotations
@@ -217,8 +218,7 @@ def run_test(sample: GroupedSample, design: DesignSpec, alpha: float = 0.05,
     z, p_value, reject, degenerate = _decide(t, est.sigma0_sq, alpha)
     diag = None
     if diagnostics:
-        diag = assumption_diagnostics(est.s, proj.weights, design.group_sizes,
-                                      heuristic=True)
+        diag = assumption_diagnostics(est.s, proj.weights, heuristic=True)
     return TestReport(t_stat=t, sigma0_sq_hat=est.sigma0_sq, z=z,
                       p_value=p_value, alpha=alpha, reject=reject,
                       degenerate=degenerate, diagnostics=diag)
@@ -256,12 +256,16 @@ def mean_weight_rows(theta, design: DesignSpec) -> np.ndarray:
     return compress(coef @ _class_means(theta, design, proj), proj.compressor.T)
 
 
-def _compressed_covariance(S, compressor) -> np.ndarray:
+def _compressed_covariance(S, compressor, entry) -> np.ndarray:
     """The symmetric part of (P S P')' for the row compressor P, through
     compress (S' itself for a square, orthogonal P, under which every trace
     of the test is invariant).  Every gate judges a covariance by its
-    symmetric part, so the traces are those of symmetric matrices; for an
-    exactly symmetric S the symmetrization changes no bit."""
+    symmetric part, so the traces are those of symmetric matrices.  Under
+    a square P, an S that its covariance cache entry judges exactly
+    symmetric is returned itself, as the symmetrization would change no
+    bit, and no p x p matrix is formed."""
+    if compressor.shape[0] == compressor.shape[1] and entry.is_symmetric(S):
+        return S
     Psi = compress(compress(S, compressor).T, compressor)
     return (Psi + Psi.T) / 2.0
 
@@ -292,21 +296,16 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     without the mean terms when A theta B' is exactly zero.  projections
     are the design's (design.projections when omitted) and entries the
     covariance cache entries of model.sigmas (looked up when omitted).
-    With a square compressor and exactly symmetric covariances (a verdict
-    the entries keep), the traces are dot products of the covariances
-    themselves, and no p x p matrix is formed."""
+    The traces are dot products of the compressed covariances of
+    _compressed_covariance."""
     entries = _check_covariances(model, design, entries)
     if model.theta.shape != (design.k, design.q):
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
     proj = design.projections if projections is None else projections
     g = design.g
-    P = proj.compressor
-    if P.shape[0] == P.shape[1] and all(
-            entry.is_symmetric(S) for entry, S in zip(entries, model.sigmas)):
-        psis = model.sigmas
-    else:
-        psis = [_compressed_covariance(S, P) for S in model.sigmas]
+    psis = [_compressed_covariance(S, proj.compressor, entry)
+            for S, entry in zip(model.sigmas, entries)]
     b = np.empty((g, g))
     for i in range(g):
         for j in range(i, g):
@@ -345,25 +344,23 @@ def asymptotic_power(q: float, sigma2: float, sigma0_sq: float,
     return float(ndtr(-sqrt(sigma0_sq / sigma2) * float(ndtri(1.0 - epsilon)) + snr))
 
 
-def assumption_diagnostics(psis, omega, group_sizes, *,
+def assumption_diagnostics(psis, omega, *,
                            m_rows=None, sigmas=None, m_scale: float | None = None,
                            heuristic: bool = False,
                            d1_bound: float | None = None) -> DiagnosticsReport:
     """Diagnostics for the regularity conditions behind the normal limit.
 
-    omega is the ClassWeights of the design.  psis are the symmetric
+    omega is the ClassWeights of the design, whose class sizes and groups
+    give the group sizes of group_imbalance.  psis are the symmetric
     compressed per-group covariances (population matrices in simulation
     mode, sample scatters in plug-in mode).  m_rows/sigmas feed the
     mean-concentration ratio, m_rows with one row per row class; when
     omitted (plug-in mode, or a model whose weighted means vanish) that
     ratio is exactly 0.
     """
-    sizes = tuple(int(n) for n in group_sizes)
-    g = len(sizes)
     w, n, group = omega.omega, omega.classes.sizes.astype(float), omega.classes.group
-    if sum(sizes) != n.sum():
-        raise ValueError(f"group sizes sum to {sum(sizes)} but omega has "
-                         f"{n.sum():g} rows")
+    sizes = np.bincount(group, weights=n)
+    g = len(sizes)
 
     present = pair_counts(n) > 0.0
     vals = w[present] ** 2
@@ -417,18 +414,18 @@ def assumption_diagnostics(psis, omega, group_sizes, *,
 
     return DiagnosticsReport(rho_n=rho_n, a2_ratio=a2_ratio, a3_ratio=a3_ratio,
                              d1_bound=d1_bound, heuristic=heuristic,
-                             group_imbalance=float(max(sizes)) / float(min(sizes)))
+                             group_imbalance=float(sizes.max() / sizes.min()))
 
 
 def model_diagnostics(model: MeanModel, design: DesignSpec, *,
                       d1_bound: float | None = None) -> DiagnosticsReport:
     """Population-mode diagnostics for a fully specified model."""
-    _check_covariances(model, design)
+    entries = _check_covariances(model, design)
     proj = design.projections
-    psis = [_compressed_covariance(S, proj.compressor) for S in model.sigmas]
+    psis = [_compressed_covariance(S, proj.compressor, entry)
+            for S, entry in zip(model.sigmas, entries)]
     m_rows = mean_weight_rows(model.theta, design)
     m_scale = float(np.max(np.abs(_class_means(model.theta, design, proj)), initial=0.0))
-    return assumption_diagnostics(psis, proj.weights, design.group_sizes,
-                                  m_rows=m_rows, sigmas=model.sigmas,
+    return assumption_diagnostics(psis, proj.weights, m_rows=m_rows, sigmas=model.sigmas,
                                   m_scale=m_scale, heuristic=False,
                                   d1_bound=d1_bound)

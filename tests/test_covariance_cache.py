@@ -235,34 +235,46 @@ class TestDesignWork:
 
 
     def test_symmetric_covariances_are_read_in_place(self, monkeypatch):
-        """With a square compressor, sigma_full reads exactly symmetric
-        covariances by dot products, forming no compressed copy, and the
-        symmetry verdict is kept on the cache entry; an asymmetric one is
-        read through its symmetric part, with the same variance."""
+        """_compressed_covariance returns an exactly symmetric covariance
+        itself under a square compressor, and keeps the symmetry verdict on
+        its cache entry; an SPD-plus-skew one is read as its symmetric part,
+        with the same variance.  sigma_full and model_diagnostics both go
+        through it, and model_diagnostics hands the covariances themselves
+        to assumption_diagnostics."""
         from gmanova import trace_test
 
         p = 5
         design = one_way_manova((6, 7, 8), p).design
+        P = design.projections.compressor
         rng = np.random.default_rng(8)
         sym = []
         for _ in range(3):
             F = rng.normal(size=(p, p))
             sym.append(F @ F.T / p + np.eye(p))
         asym = [S + (K - K.T) for S, K in zip(sym, rng.normal(size=(3, p, p)))]
-        copies = []
-        compressed = trace_test._compressed_covariance
+        route = trace_test._compressed_covariance
+        for S, entry in zip(sym, covariance.lookup(sym)[0]):
+            assert route(S, P, entry) is S
+            assert entry.is_symmetric(S)
+        for S, entry in zip(asym, covariance.lookup(asym)[0]):
+            assert np.array_equal(route(S, P, entry), (S + S.T) / 2.0)
+            assert not entry.is_symmetric(S)
+
+        calls, handed = [], []
         monkeypatch.setattr(trace_test, "_compressed_covariance",
-                            lambda S, P: copies.append(1) or compressed(S, P))
+                            lambda S, P, entry: calls.append(S) or route(S, P, entry))
+        diagnostics = trace_test.assumption_diagnostics
+        monkeypatch.setattr(trace_test, "assumption_diagnostics",
+                            lambda psis, *args, **kwargs:
+                            handed.append(psis) or diagnostics(psis, *args, **kwargs))
         zero = np.zeros((design.k, design.q))
         _, fast = sigma_full(MeanModel(zero, tuple(sym)), design)
-        assert copies == []
-        entries = covariance.lookup(sym)[0]
-        assert all(entry.is_symmetric(S) for entry, S in zip(entries, sym))
         _, slow = sigma_full(MeanModel(zero, tuple(asym)), design)
-        assert len(copies) == 3
-        assert not any(entry.is_symmetric(S)
-                       for entry, S in zip(covariance.lookup(asym)[0], asym))
+        assert len(calls) == 6
         assert slow == pytest.approx(fast, rel=1e-13)
+        model_diagnostics(MeanModel(zero, tuple(sym)), design)
+        assert len(calls) == 9
+        assert len(handed) == 1 and all(psi is S for psi, S in zip(handed[0], sym))
 
 
 class TestLogging:

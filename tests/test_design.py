@@ -74,7 +74,7 @@ class TestHypothesisProjector:
     @pytest.mark.parametrize("n", [3, 5, 10])
     def test_two_sample_closed_form(self, n):
         design = one_way_manova((n, n), 4).design
-        pi_h, h_diag = hypothesis_projector(design)
+        pi_h, h_diag = hypothesis_projector(design, np.arange(design.N))
         v = np.concatenate([np.full(n, 1.0 / n), np.full(n, -1.0 / n)])
         expected = (n / 2.0) * np.outer(v, v)
         assert np.max(np.abs(pi_h - expected)) <= 1e-12
@@ -85,12 +85,12 @@ class TestHypothesisProjector:
         A = rng.normal(size=(8, 3))
         design = DesignSpec(A=A, B=np.eye(4), L=rng.normal(size=(3, 3)),
                             R=np.eye(4), group_sizes=(8,))
-        pi_h, _ = hypothesis_projector(design)
+        pi_h, _ = hypothesis_projector(design, np.arange(design.N))
         assert np.max(np.abs(pi_h - projector(A))) <= 1e-10
 
     def test_one_way_rank(self):
         design = one_way_manova((3, 3, 3), 5).design
-        pi_h, _ = hypothesis_projector(design)
+        pi_h, _ = hypothesis_projector(design, np.arange(design.N))
         assert abs(np.trace(pi_h) - 2.0) <= 1e-10
         assert np.max(np.abs(pi_h @ pi_h - pi_h)) <= 1e-10
 

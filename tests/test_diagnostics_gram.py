@@ -152,7 +152,7 @@ def test_inactive_diagonal_blocks():
         for _ in range(g):
             F = rng.normal(size=(3, 3))
             psis.append(F @ F.T)
-        got = assumption_diagnostics(psis, weights, sizes).a2_ratio
+        got = assumption_diagnostics(psis, weights).a2_ratio
         dense = weights.expand(weights.omega)
         assert _close(got, a2_ratio_by_tuples(psis, dense, sizes)), seed
 

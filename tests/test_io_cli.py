@@ -367,6 +367,22 @@ class TestCli:
         f = _write(tmp_path / "exp.json", '{"reps": 100}')
         assert main(["simulate", "--config", str(f)]) == 2
 
+    @pytest.mark.parametrize("key", ["cell_sizes", "group_sizes"])
+    def test_two_way_config_takes_group_sizes_only(self, tmp_path, capsys, key):
+        """A two-way simulate config names its cells by group_sizes, as
+        every scenario does; cell_sizes is not a key of the schema."""
+        cfg = {"scenario": {"name": "two-way", key: [6, 6, 6, 6], "p": 3,
+                            "levels": [2, 2], "effect": "interaction"},
+               "reps": 100, "seed": 2}
+        f = _write(tmp_path / "exp.json", json.dumps(cfg))
+        code = main(["simulate", "--config", str(f), "--threads", "1"])
+        if key == "cell_sizes":
+            assert code == 2
+            assert "'cell_sizes'" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert "reps=100" in capsys.readouterr().out
+
     def test_two_way_scenario_cli(self, tmp_path):
         emit = tmp_path / "tw"
         assert main(["scenario", "--name", "two-way", "--groups", "4,4,4,4",
@@ -406,6 +422,16 @@ def test_cli_import_leaves_jsonschema_out():
     for importing it."""
     src = str(Path(gmanova.__file__).resolve().parents[1])
     code = "import sys, gmanova.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_oracle_out():
+    """Only `gmanova diagnose` reads the dense oracles, so importing the
+    CLI does not import them."""
+    src = str(Path(gmanova.__file__).resolve().parents[1])
+    code = "import sys, gmanova.cli; print('gmanova.oracle' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"

@@ -104,7 +104,7 @@ def dense_build(design):
     for i in range(design.g):
         residual_basis(design.A_block(i), group=i)
     pi_a = projector(design.A)
-    pi_h, h = hypothesis_projector(design)
+    pi_h, h = hypothesis_projector(design, np.arange(design.N))
     C = np.eye(design.N) - pi_a
     d, resid = dense_min_norm_solve(C * C, h)
     rel = resid / np.linalg.norm(h)
@@ -170,7 +170,7 @@ def test_class_build_matches_dense_build(layout, data):
     assert close(got_sigma, sigma) and close(got_sigma0, sigma0)
 
     pre = design.A @ model.theta @ design.B.T @ proj.compressor.T
-    want = assumption_diagnostics(psis, dense, sizes, m_rows=M, sigmas=model.sigmas,
+    want = assumption_diagnostics(psis, dense, m_rows=M, sigmas=model.sigmas,
                                   m_scale=float(np.max(np.abs(pre))))
     assert same_report(model_diagnostics(model, design), want)
 
@@ -181,7 +181,7 @@ def test_class_build_matches_dense_build(layout, data):
         return
     event("built and tested")
     scatters = estimate_variance(GroupedSample(X, sizes), design).s
-    want = assumption_diagnostics(scatters, dense, sizes, heuristic=True)
+    want = assumption_diagnostics(scatters, dense, heuristic=True)
     assert same_report(report.diagnostics, want)
 
 

@@ -186,7 +186,7 @@ class TestDiagnostics:
         design = one_way_manova((3, 3), 4).design
         proj = build_projections(design)
         psis = [np.eye(4), np.eye(4)]
-        diag = assumption_diagnostics(psis, proj.weights, (3, 3))
+        diag = assumption_diagnostics(psis, proj.weights)
         assert diag.rho_n == pytest.approx((1 / 4) ** 2 / (1 / 6) ** 2, rel=1e-10)
 
     def test_null_model_mean_ratio_zero(self):
@@ -208,26 +208,49 @@ class TestDiagnostics:
         design = one_way_manova((4, 4, 4), p).design
         proj = build_projections(design)
         psis = [np.eye(p)] * 3
-        diag = assumption_diagnostics(psis, proj.weights, (4, 4, 4))
+        diag = assumption_diagnostics(psis, proj.weights)
         assert diag.a2_ratio == pytest.approx(p / (3 * 3 * p) ** 2, rel=1e-10)
 
     def test_all_zero_weights_undefined(self):
         with pytest.raises(ValueError):
-            assumption_diagnostics([np.eye(2)], one_row_classes(np.zeros((3, 3)), (3,)),
-                                   (3,))
+            assumption_diagnostics([np.eye(2)], one_row_classes(np.zeros((3, 3)), (3,)))
 
     def test_d1_bound_passthrough(self):
         design = one_way_manova((3, 3), 2).design
         proj = build_projections(design)
-        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights, (3, 3),
-                                      d1_bound=4.5)
+        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights, d1_bound=4.5)
         assert diag.d1_bound == 4.5
 
     def test_group_imbalance(self):
         design = one_way_manova((4, 8), 2).design
         proj = build_projections(design)
-        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights, (4, 8))
+        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights)
         assert diag.group_imbalance == 2.0
+
+    @pytest.mark.parametrize("column", ["covariate", "binary"])
+    def test_group_imbalance_from_class_sizes(self, column):
+        """Groups holding several row classes, one-row classes (u = N) for
+        a continuous covariate and two-row-class groups for a binary one:
+        the group sizes come from the class sizes and groups of the class
+        weights, through run_test and model_diagnostics alike."""
+        sizes = (12, 15, 10)
+        base = one_way_manova(sizes, 3).design
+        rng = np.random.default_rng(4)
+        if column == "covariate":
+            x = rng.normal(size=base.N)
+        else:
+            x = np.concatenate([np.arange(n) % 2 for n in sizes]).astype(float)
+        design = DesignSpec(A=np.column_stack([base.A, x]), B=base.B,
+                            L=np.hstack([base.L, np.zeros((base.ell, 1))]), R=base.R,
+                            group_sizes=sizes)
+        classes = design.projections.weights.classes
+        assert classes.first.size == (design.N if column == "covariate" else 2 * design.g)
+        want = max(design.group_sizes) / min(design.group_sizes)
+        X = rng.normal(size=(design.N, design.p))
+        report = run_test(GroupedSample(X, sizes), design, diagnostics=True)
+        assert report.diagnostics.group_imbalance == want
+        model = MeanModel(np.zeros((design.k, design.q)), (np.eye(3),) * 3)
+        assert model_diagnostics(model, design).group_imbalance == want
 
 
 class TestDualEstimationPaths:
