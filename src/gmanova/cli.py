@@ -95,35 +95,37 @@ def _broadcast(specs, g: int, what: str) -> list:
     return items
 
 
+def _theta_matrix(M, what: str, design: DesignSpec) -> np.ndarray:
+    """M as the k x q float matrix of theta; ConfigError naming what otherwise."""
+    try:
+        M = np.asarray(M, dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not a rectangular matrix: {exc}") from exc
+    if M.shape != (design.k, design.q):
+        raise ConfigError(f"{what} has shape {M.shape}, design needs ({design.k}, {design.q})")
+    return M
+
+
 def _theta_from_config(spec: dict, design: DesignSpec, sigmas, base: Path) -> np.ndarray:
     kind = spec["kind"]
     if kind == "zero":
         return np.zeros((design.k, design.q))
     if kind == "matrix":
         if "values" in spec:
-            theta = np.asarray(spec["values"], dtype=float)
-        elif "path" in spec:
-            try:
-                theta = np.loadtxt(base / spec["path"], delimiter=",", ndmin=2)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read theta from {spec['path']}: {exc}") from exc
-        else:
+            return _theta_matrix(spec["values"], "theta.values", design)
+        if "path" not in spec:
             raise ConfigError("theta kind 'matrix' needs 'values' or 'path'")
-        if theta.shape != (design.k, design.q):
-            raise ConfigError(
-                f"theta has shape {theta.shape}, design needs ({design.k}, {design.q})")
-        return theta
+        try:
+            theta = np.loadtxt(base / spec["path"], delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read theta from {spec['path']}: {exc}") from exc
+        return _theta_matrix(theta, f"theta.path {spec['path']}", design)
     if "snr" not in spec:
         raise ConfigError("theta kind 'signal_ray' needs 'snr'")
-    direction = spec.get("direction", "canonical")
-    if isinstance(direction, str):
+    if isinstance(spec.get("direction", "canonical"), str):
         direction = canonical_direction(design)
     else:
-        direction = np.asarray(direction, dtype=float)
-        if direction.shape != (design.k, design.q):
-            raise ConfigError(
-                f"signal direction has shape {direction.shape}, "
-                f"design needs ({design.k}, {design.q})")
+        direction = _theta_matrix(spec["direction"], "theta.direction", design)
     return calibrate_signal_ray(design, direction, sigmas, spec["snr"])
 
 

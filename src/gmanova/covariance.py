@@ -66,14 +66,6 @@ class CovarianceEntry:
             self._symmetric = bool(np.array_equal(S, S.T))
         return self._symmetric
 
-    def symmetric_root(self, S: np.ndarray):
-        """(minimum eigenvalue, symmetric square root); the root is None
-        unless S is positive definite."""
-        w0, ok, root = self._factorize(S)
-        if ok and root is None:
-            root = _read_only(np.diag(np.sqrt(np.diag(S))))
-        return w0, root
-
     def colouring(self, S: np.ndarray):
         """(root, scale) for colouring standard rows with S: its symmetric
         root and None, or for a diagonal S None and the scale of each

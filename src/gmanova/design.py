@@ -9,11 +9,11 @@ diagonal bias of the naive quadratic form, and the zero-diagonal weight
 matrix Omega that makes the trace statistic unbiased.  Rows of one group
 with equal rows of A form a row class; the projections, the weights and
 Omega are constant on classes, so they are built between class
-representatives, and Omega is also kept in factored form
-(OmegaFactors), whose one centring pass gives the statistic and the
-variance estimate's row norms.  The variance estimate's design constants
-are cached here too (DesignSpec.tau, ClassWeights.block_sums).  Dense
-N x N matrices are expanded only on request.
+representatives (ClassWeights, through which Omega reads the model) and
+kept in factored form (OmegaFactors, through which it reads data: one
+centring pass gives the statistic and the variance estimate's row norms,
+gram_form tr(Omega G) for Grams).  The variance estimate's design
+constants are cached here too (DesignSpec.tau, ClassWeights.block_sums).
 """
 
 from __future__ import annotations
@@ -314,16 +314,13 @@ def row_classes(design: DesignSpec) -> RowClasses:
 @dataclass(frozen=True, eq=False)
 class ClassWeights:
     """The design geometry between row classes: u x u blocks of pi_a and
-    pi_h between class representatives, the class values of the balancing
-    weights d and of the balancing residual e, and omega, whose entry
-    (c, c') is the weight between distinct rows of classes c and c' (0 on
-    the diagonal for a one-row class, which has no such pair)."""
+    pi_h between class representatives, and omega, whose entry (c, c') is
+    the weight between distinct rows of classes c and c' (0 on the
+    diagonal for a one-row class, which has no such pair)."""
 
     classes: RowClasses
     pi_a: np.ndarray
     pi_h: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
     omega: np.ndarray
 
     @cached_property
@@ -432,14 +429,6 @@ class OmegaFactors:
         cgc = g_diag - np.einsum("bia,ia->bi", inner, self.q)
         return GW @ self.w.T.ravel() - cgc @ self.d - g_diag @ self.e
 
-    def apply(self, Y) -> np.ndarray:
-        """omega Y for an N x r matrix Y, through the factors:
-        W'(W Y) - C diag(d) C Y - diag(e) Y."""
-        CY = Y - self.q @ (self.q.T @ Y)
-        CY *= self.d[:, None]
-        CY -= self.q @ (self.q.T @ CY)
-        return self.w.T @ (self.w @ Y) - CY - self.e[:, None] * Y
-
 
 def _block_dots(X, Y, r: int) -> np.ndarray:
     """<X_b, Y_b> for each r-column block of two side-by-side matrices."""
@@ -450,9 +439,9 @@ def _block_dots(X, Y, r: int) -> np.ndarray:
 class ProjectionSet:
     """Design geometry consumed by the test: the diagonal of the hypothesis
     projection, the row compressor, the balancing weights d (one per row),
-    the relative balancing residual, omega's factors, which the statistic
-    is evaluated through, and the class weights, which the variance and
-    diagnostics read.
+    the relative balancing residual, omega's factors, which the data are
+    read through, and the class weights, which the variance, the
+    diagnostics and the mean's omega-weighted rows read.
 
     The dense N x N hat projection pi_a, hypothesis projection pi_h and
     weight matrix omega are expanded from the class weights on first read,
@@ -639,13 +628,12 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     omega = build_omega(pi_h, pi_a, d, n)
     h, row_d, row_e = h[classes.index], d[classes.index], e[classes.index]
     factors = OmegaFactors.build(design.hypothesis_root, q, row_d, row_e, design.group_basis)
-    for M in (*vars(classes).values(), pi_a, pi_h, d, e, omega, compressor, h, row_d, row_e,
+    for M in (*vars(classes).values(), pi_a, pi_h, omega, compressor, h, row_d, row_e,
               factors.lift, factors.wu, factors.de,
               *(M for term in factors.terms for M in term)):
         if M is not None:
             _read_only(M)
-    weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, d=d, e=e,
-                           omega=omega)
+    weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, omega=omega)
     return ProjectionSet(h_diag=h, compressor=compressor, d=row_d,
                          balancing_residual=rel, factors=factors,
                          weights=weights)

@@ -190,6 +190,9 @@ def load_design(path) -> DesignSpec:
             or not all(isinstance(n, int) and not isinstance(n, bool) and n > 0
                        for n in sizes)):
         raise ConfigError(f"{path}: group_sizes must be a list of positive integers")
+    paths = [k for k in MATRIX_KEYS if not isinstance(manifest[k], str)]
+    if paths:
+        raise ConfigError(f"{path}: {paths} must be CSV file paths")
     mats = {k: _load_matrix(path.parent / manifest[k], k) for k in MATRIX_KEYS}
     return DesignSpec(A=mats["A"], B=mats["B"], L=mats["L"], R=mats["R"],
                       group_sizes=tuple(sizes))

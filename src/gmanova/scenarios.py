@@ -55,12 +55,18 @@ def _check_groups(group_sizes, minimum_groups: int = 2):
     return sizes
 
 
+def _check_p(p) -> int:
+    if int(p) < 1:
+        raise ConfigError(f"p must be a positive number of responses, got {p}")
+    return int(p)
+
+
 def one_way_manova(group_sizes, p: int) -> Scenario:
     """Equality of all group mean vectors for p responses."""
     sizes = _check_groups(group_sizes)
-    g = len(sizes)
-    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(int(p)),
-                        L=_reference_contrasts(g), R=np.eye(int(p)),
+    p, g = _check_p(p), len(sizes)
+    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(p),
+                        L=_reference_contrasts(g), R=np.eye(p),
                         group_sizes=sizes)
     return Scenario(name="one-way",
                     design=design,
@@ -74,7 +80,7 @@ def two_way_manova(levels_a: int, levels_b: int, cell_sizes, p: int,
     Cells are ordered with the second factor varying fastest; every cell is
     its own covariance group.
     """
-    a, b = int(levels_a), int(levels_b)
+    a, b, p = int(levels_a), int(levels_b), _check_p(p)
     if a < 2 or b < 2:
         raise ConfigError(f"both factors need at least 2 levels, got {a} x {b}")
     if effect not in EFFECTS:
@@ -97,8 +103,8 @@ def two_way_manova(levels_a: int, levels_b: int, cell_sizes, p: int,
     else:
         L = np.kron(Ca, Cb)
         null = "no interaction between the two factors"
-    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(int(p)), L=L,
-                        R=np.eye(int(p)), group_sizes=sizes)
+    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(p), L=L,
+                        R=np.eye(p), group_sizes=sizes)
     return Scenario(name="two-way", design=design, null_description=null)
 
 
@@ -106,7 +112,7 @@ def profile_parallelism(group_sizes, p: int) -> Scenario:
     """Parallel mean profiles: group differences constant across the p
     coordinates (first-difference R annihilates constant shifts)."""
     sizes = _check_groups(group_sizes)
-    p = int(p)
+    p = _check_p(p)
     if p < 2:
         raise ConfigError(f"profiles need p >= 2 coordinates, got {p}")
     g = len(sizes)
@@ -141,7 +147,7 @@ def growth_curve(group_sizes, p: int, degree: int) -> Scenario:
     """Equal polynomial growth-curve coefficients across groups."""
     sizes = _check_groups(group_sizes)
     g = len(sizes)
-    B = polynomial_basis(p, degree)
+    B = polynomial_basis(_check_p(p), degree)
     design = DesignSpec(A=_ones_blocks(sizes), B=B,
                         L=_reference_contrasts(g), R=np.eye(int(degree) + 1),
                         group_sizes=sizes)

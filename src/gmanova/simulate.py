@@ -10,12 +10,13 @@ chunks of B, each drawn into one reused buffer and holding the errors
 only: their compressed errors are written into a (B, N, r) stack when
 r <= N, and the N x N Grams of those into a (B, N, N) stack when r > N,
 one call of TraceTestEngine.statistics evaluates the stack, and the mean
-shifts each T exactly.  B is the largest count
-whose stack fits BATCH_BYTES (at least 1, at most MAX_BATCH), so it
-depends on the design's shape alone, and each replication's T and sigma0
-are within 1e-12 (relative to the terms they sum) of the one-matrix
-statistic.  numpy's OpenBLAS runs on one thread while a run lasts, so
-serial and thread-parallel executions produce bitwise-identical summaries.
+shifts each T exactly, read through its Omega-weighted class rows
+(trace_test.mean_rows).  B is the largest count whose stack fits
+BATCH_BYTES (at least 1, at most MAX_BATCH), so it depends on the
+design's shape alone, and each replication's T and sigma0 are within
+1e-12 (relative to the terms they sum) of the one-matrix statistic.
+numpy's OpenBLAS runs on one thread while a run lasts, so serial and
+thread-parallel executions produce bitwise-identical summaries.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from scipy.stats import kstest
 
 from .blas import one_blas_thread
 from .covariance import lookup
-from .design import DesignSpec
+from .design import DesignSpec, _read_only
 from .errors import ConfigError
-from .estimators import compress
 from .trace_test import (
     MeanModel,
     TraceTestEngine,
     _decide,
     asymptotic_power,
+    mean_rows,
     sigma_full,
     true_q,
 )
@@ -196,11 +197,11 @@ class CovarianceSpec:
         covariance cache."""
         S = self.matrix(p)
         (entry,), _, _ = lookup([S])
-        w0, root = entry.symmetric_root(S)
-        if root is None:
-            raise ConfigError(f"{self.kind} covariance at p={p} is not positive "
-                              f"definite (min eigenvalue {w0:.3e})")
-        return root
+        try:
+            root, _ = entry.colouring(S)
+        except ValueError as exc:
+            raise ConfigError(f"{self.kind} {exc} at p={p}") from exc
+        return root if root is not None else _read_only(np.diag(np.sqrt(np.diag(S))))
 
 
 @dataclass(frozen=True)
@@ -219,11 +220,10 @@ class SimulationSummary:
 
 
 def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
-    """(errors, mean): errors(seed, j, out) writes the coloured N x p error
-    rows of replication j into out (a C-contiguous N x p float array),
-    drawn from the substream (seed, j) with one error distribution per
-    group and the model's covariances; mean is the N x p mean matrix, or
-    None when it vanishes.  Each group's rows are drawn and coloured in
+    """errors(seed, j, out), which writes the coloured N x p error rows of
+    replication j into out (a C-contiguous N x p float array), drawn from
+    the substream (seed, j) with one error distribution per group and the
+    model's covariances.  Each group's rows are drawn and coloured in
     place, except that a full root needs the standard rows apart.  The
     colouring factors come from the covariance cache entries of
     model.sigmas (looked up when omitted).  Each thread that calls errors
@@ -231,10 +231,6 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
     if entries is None:
         entries = lookup(model.sigmas)[0]
     factors = [entry.colouring(S) for entry, S in zip(entries, model.sigmas)]
-    mean = None
-    if np.any(model.theta):
-        mean = design.A @ model.theta @ design.B.T
-        mean = mean if np.any(mean) else None
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
     p = design.p
@@ -251,19 +247,17 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
                     block *= scale
         return out
 
-    return errors, mean
+    return errors
 
 
 def replication_sampler(design: DesignSpec, model: MeanModel, dists):
     """draw(seed, j): the N x p data matrix of replication j of a run keyed
-    by seed, the errors of _error_sampler plus the model's mean."""
-    errors, mean = _error_sampler(design, model, dists)
+    by seed, the errors of _error_sampler plus the model's mean A theta B'."""
+    errors = _error_sampler(design, model, dists)
+    mean = design.A @ model.theta @ design.B.T
 
     def draw(seed: int, j: int) -> np.ndarray:
-        X = errors(seed, j, np.empty((design.N, design.p)))
-        if mean is not None:
-            X += mean
-        return X
+        return errors(seed, j, np.empty((design.N, design.p))) + mean
 
     return draw
 
@@ -318,8 +312,8 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     the errors only: the mean, which lies in the range of A, leaves the
     variance unchanged and shifts T exactly by
     2 <Omega M, E> + tr(M' Omega M) for the compressed mean M, with
-    Omega M formed once per call from Omega's factors, so a large mean
-    costs no digits of sigma0.  Each replication's T and sigma0 are within
+    Omega M read once per call from mean_rows, so a large mean costs no
+    digits of sigma0.  Each replication's T and sigma0 are within
     1e-12 (relative to the terms they sum) of the one-matrix statistic.
 
     threads caps the worker threads, each running whole chunks: the call
@@ -358,17 +352,18 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
         q = true_q(model.theta, design)
         sigma2, sigma0_sq = sigma_full(model, design, entries=entries)
         predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
-        errors, mean = _error_sampler(design, model, dists, entries)
+        errors = _error_sampler(design, model, dists, entries)
         P = engine.projections.compressor
         square = P.shape[0] == P.shape[1]
         PT = None if square else np.ascontiguousarray(P.T)
         gram = r > N
         weighted = offset = None
-        if mean is not None:  # T's exact shift: 2 <Omega M, E> + tr(M' Omega M)
-            mean = compress(mean, P)
-            factors = engine.projections.factors
-            weighted, offset = factors.apply(mean), factors.quadratic_form(mean)
-        del mean  # only its shift is kept
+        rows = mean_rows(model.theta, design)
+        if rows is not None:  # T's exact shift: 2 <Omega M, E> + tr(M' Omega M)
+            M, WM = rows
+            classes = engine.projections.weights.classes
+            weighted = WM[classes.index]
+            offset = float(classes.sizes @ np.einsum("ij,ij->i", WM, M))
         batch = batch_size(design)
         buffers = threading.local()
         ready = time.perf_counter()

@@ -8,15 +8,16 @@ sum_i e_i ||y_i||^2, read from one centring of Y on the groups' basis
 so no N x N matrix is read; it also takes the dense N x N Omega, the
 reference form.  The variance, the diagnostics and the exact variance
 decomposition read Omega between row classes only (ClassWeights, with
-its cached omega o omega block sums, class sizes and groups), and every
-compressed covariance through _compressed_covariance.  run_test wires
-the full pipeline (projections, per-group scatter, variance estimate,
-decision) for a single dataset, while TraceTestEngine precomputes every
-design-dependent quantity so Monte Carlo drivers pay only the
-data-dependent cost per replication.  The module also provides the
-population functionals (the hypothesis distance q, the exact variance
-decomposition, the asymptotic power curve) and computable diagnostics
-for the regularity conditions the normal approximation relies on.
+its cached omega o omega block sums, class sizes and groups), the mean
+through mean_rows and every compressed covariance through
+_compressed_covariance.  run_test wires the full pipeline (projections,
+per-group scatter, variance estimate, decision) for a single dataset,
+while TraceTestEngine precomputes every design-dependent quantity so
+Monte Carlo drivers pay only the data-dependent cost per replication.
+The module also provides the population functionals (the hypothesis
+distance q, the exact variance decomposition, the asymptotic power
+curve) and computable diagnostics for the regularity conditions the
+normal approximation relies on.
 """
 
 from __future__ import annotations
@@ -162,32 +163,31 @@ class TraceTestEngine:
     def statistics(self, X: np.ndarray):
         """Raw ingredients (t, a2, b, sigma0_sq) for one N x p data matrix.
 
-        X may also be a stack of B matrices: (B, N, p) data matrices,
-        (B, N, r) rows already compressed, or, when r > N, (B, N, N) Grams
-        E E' of compressed rows E.  t and sigma0_sq are then arrays of B
-        values, a2 is B x g and b is B x g x g.  Rows are read by
-        estimators.centred_stack, which centres them once on the groups'
-        block-diagonal basis and takes t and the variance from that one
-        pass.  A Gram stack is read at N x N size only: t = tr(Omega G)
-        through Omega's factors, and the variance from the residual Grams
-        M G M, M = I - blockdiag(U_i U_i') the group-centring projector.
+        X may also be a stack of B matrices: (B, N, r) rows already
+        compressed, or, when r > N, (B, N, N) Grams E E' of compressed
+        rows E.  t and sigma0_sq are then arrays of B values, a2 is B x g
+        and b is B x g x g.  Rows are read by estimators.centred_stack,
+        which centres them once on the groups' block-diagonal basis and
+        takes t and the variance from that one pass.  A Gram stack is read
+        at N x N size only: t = tr(Omega G) through Omega's factors, and
+        the variance from the residual Grams M G M, M = I -
+        blockdiag(U_i U_i') the group-centring projector.
         Both are exact for any rows, but a large mean in the rows costs
         digits of sigma0_sq when they are centred, so monte_carlo passes
         the errors and adds the mean's exact shift of t.
         """
         N, p, r = self.design.N, self.design.p, self.design.r
         gram = r > N and X.ndim == 3 and X.shape[1:] == (N, N)
-        if not (gram or X.shape == (N, p) or X.ndim == 3 and X.shape[1:] in ((N, p), (N, r))):
+        if not (gram or X.shape == (N, p) or X.ndim == 3 and X.shape[1:] == (N, r)):
             grams = f", or (B, {N}, {N}) Grams of compressed rows" if r > N else ""
             raise ConfigError(
                 f"data shape {X.shape} does not match design: expected ({N}, {p}), "
-                f"or a stack of (B, {N}, {p}) data matrices or (B, {N}, {r}) "
-                f"compressed rows{grams}")
+                f"or a stack of (B, {N}, {r}) compressed rows{grams}")
         if gram:
             _, a2, b, sigma0_sq = gram_variance(residual_grams(X, self.design), self.design)
             return self.projections.factors.gram_form(X), a2, b, sigma0_sq
-        Y = compress(X, self.projections.compressor) if X.shape[-1] == p else X
-        t, _, a2, b, sigma0_sq = centred_stack(Y if Y.ndim == 3 else Y[None], self.design)
+        Y = X if X.ndim == 3 else compress(X, self.projections.compressor)[None]
+        t, _, a2, b, sigma0_sq = centred_stack(Y, self.design)
         if X.ndim == 2:
             return float(t[0]), a2[0], b[0], float(sigma0_sq[0])
         return t, a2, b, sigma0_sq
@@ -238,22 +238,23 @@ def true_q(theta, design: DesignSpec) -> float:
     return float(np.trace(np.linalg.solve(GA, C) @ np.linalg.solve(GB, C.T)))
 
 
-def _class_means(theta, design: DesignSpec, proj: ProjectionSet) -> np.ndarray:
-    """u x r compressed mean rows A theta B' P' at the class representatives."""
-    A_u = design.A[proj.weights.classes.first]
-    return compress(A_u @ np.asarray(theta, dtype=float) @ design.B.T, proj.compressor)
-
-
-def mean_weight_rows(theta, design: DesignSpec) -> np.ndarray:
-    """u x p matrix, one row per row class: the omega-weighted mean
-    direction the statistic's cross term projects the error of each row of
-    the class onto, sum_{j != i} omega_ij (A theta B' P')_j P (P' P = I
-    for a square P, which is skipped)."""
+def mean_rows(theta, design: DesignSpec):
+    """(M, WM), u x r each, at the class representatives: the compressed
+    class means M (rows of A theta B' P') and the omega-weighted rows WM,
+    whose row for a class is (Omega M)_i = sum_{j != i} omega_ij M_j at
+    each row i of it.  None when M is exactly zero; ValueError unless
+    theta is k x q."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (design.k, design.q):
+        raise ValueError(f"theta must be {design.k} x {design.q}, got {theta.shape}")
     proj = design.projections
     w = proj.weights
+    M = compress(design.A[w.classes.first] @ theta @ design.B.T, proj.compressor)
+    if not np.any(M):
+        return None
     coef = w.omega * w.classes.sizes
     coef[np.diag_indices_from(coef)] -= np.diag(w.omega)
-    return compress(coef @ _class_means(theta, design, proj), proj.compressor.T)
+    return M, coef @ M
 
 
 def _compressed_covariance(S, compressor, entry) -> np.ndarray:
@@ -293,15 +294,12 @@ def sigma_full(model: MeanModel, design: DesignSpec,
                entries=None) -> tuple[float, float]:
     """Exact variance decomposition (sigma_sq, sigma0_sq) of the statistic
     under the model; the two coincide when the null holds, and are equal
-    without the mean terms when A theta B' is exactly zero.  projections
+    without the mean terms when mean_rows finds no mean.  projections
     are the design's (design.projections when omitted) and entries the
     covariance cache entries of model.sigmas (looked up when omitted).
     The traces are dot products of the compressed covariances of
     _compressed_covariance."""
     entries = _check_covariances(model, design, entries)
-    if model.theta.shape != (design.k, design.q):
-        raise ValueError(
-            f"theta must be {design.k} x {design.q}, got {model.theta.shape}")
     proj = design.projections if projections is None else projections
     g = design.g
     psis = [_compressed_covariance(S, proj.compressor, entry)
@@ -311,10 +309,11 @@ def sigma_full(model: MeanModel, design: DesignSpec,
         for j in range(i, g):
             b[i, j] = b[j, i] = float(np.vdot(psis[i], psis[j]))
     sigma0_sq = sigma0_from_blocks(proj.weights.block_sums, b.diagonal(), b)
-    classes = proj.weights.classes
-    if not np.any(design.A[classes.first] @ model.theta @ design.B.T):
+    rows = mean_rows(model.theta, design)
+    if rows is None:
         return sigma0_sq, sigma0_sq
-    spread = _mean_term_spread(mean_weight_rows(model.theta, design),
+    classes = proj.weights.classes
+    spread = _mean_term_spread(compress(rows[1], proj.compressor.T),
                                model.sigmas, group_spans(classes.group, g))
     return sigma0_sq + 4.0 * float(classes.sizes @ spread), sigma0_sq
 
@@ -354,9 +353,9 @@ def assumption_diagnostics(psis, omega, *,
     give the group sizes of group_imbalance.  psis are the symmetric
     compressed per-group covariances (population matrices in simulation
     mode, sample scatters in plug-in mode).  m_rows/sigmas feed the
-    mean-concentration ratio, m_rows with one row per row class; when
-    omitted (plug-in mode, or a model whose weighted means vanish) that
-    ratio is exactly 0.
+    mean-concentration ratio, m_rows with one row per row class; it is
+    exactly 0 when they are omitted (plug-in mode, or a model without a
+    mean) or all within 1e-10 of m_scale, the largest mean entry.
     """
     w, n, group = omega.omega, omega.classes.sizes.astype(float), omega.classes.group
     sizes = np.bincount(group, weights=n)
@@ -424,8 +423,10 @@ def model_diagnostics(model: MeanModel, design: DesignSpec, *,
     proj = design.projections
     psis = [_compressed_covariance(S, proj.compressor, entry)
             for S, entry in zip(model.sigmas, entries)]
-    m_rows = mean_weight_rows(model.theta, design)
-    m_scale = float(np.max(np.abs(_class_means(model.theta, design, proj)), initial=0.0))
+    rows = mean_rows(model.theta, design)
+    m_rows = m_scale = None
+    if rows is not None:
+        m_rows, m_scale = compress(rows[1], proj.compressor.T), float(np.max(np.abs(rows[0])))
     return assumption_diagnostics(psis, proj.weights, m_rows=m_rows, sigmas=model.sigmas,
                                   m_scale=m_scale, heuristic=False,
                                   d1_bound=d1_bound)

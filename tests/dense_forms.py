@@ -15,5 +15,4 @@ def one_row_classes(omega, group_sizes) -> ClassWeights:
     rows = np.arange(omega.shape[0])
     classes = RowClasses(index=rows, first=rows, sizes=np.ones(rows.size, dtype=np.intp),
                          group=np.repeat(np.arange(len(group_sizes)), group_sizes))
-    return ClassWeights(classes=classes, pi_a=None, pi_h=None, d=None, e=None,
-                        omega=omega)
+    return ClassWeights(classes=classes, pi_a=None, pi_h=None, omega=omega)

@@ -206,16 +206,17 @@ def test_chunks_match_the_one_matrix_statistic(monkeypatch, layout, wide, data):
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_a_stack_is_each_of_its_matrices(layout, wide, data):
-    """Raw (B, N, p) stacks, compressed (B, N, r) stacks and, when r > N,
-    (B, N, N) Grams of compressed errors give each matrix's statistics;
-    any other shape is rejected naming the accepted ones."""
+    """Compressed (B, N, r) stacks and, when r > N, (B, N, N) Grams of
+    compressed errors give each matrix's statistics; any other shape, a
+    raw (B, N, p) stack for p != r among them, is rejected naming the
+    accepted ones."""
     design, model, dist, B, _, large = data.draw(cases(layout, wide))
     engine = TraceTestEngine(design)
     draw = replication_sampler(design, model, [dist] * design.g)
     X = np.stack([draw(3, j) for j in range(min(B, 5))])
     E = np.stack([_errors(design, model, dist)(3, j) for j in range(len(X))])
     Y = compress(E, engine.projections.compressor)
-    stacks = [(X, X), (compress(X, engine.projections.compressor), X)]
+    stacks = [(compress(X, engine.projections.compressor), X)]
     if wide:
         stacks.append((Y @ Y.swapaxes(1, 2), E))
     for stack, matrices in stacks:
@@ -228,11 +229,15 @@ def test_a_stack_is_each_of_its_matrices(layout, wide, data):
 
     N, p, r = design.N, design.p, design.r
     width = next(w for w in range(1, p + r + 2) if w not in (p, r, N))
-    accepted = rf"\(B, {N}, {p}\).*\(B, {N}, {r}\)"
-    with pytest.raises(ConfigError, match=accepted + (rf".*\(B, {N}, {N}\)" if wide else "")):
+    accepted = rf"\({N}, {p}\), or a stack of \(B, {N}, {r}\) compressed rows"
+    whole = accepted + (rf", or \(B, {N}, {N}\) Grams of compressed rows$" if wide else "$")
+    with pytest.raises(ConfigError, match=whole):
         engine.statistics(np.zeros((2, N, width)))
+    if p != r:  # raw data matrices are no chunk shape
+        with pytest.raises(ConfigError, match=whole):
+            engine.statistics(np.zeros((2, N, p)))
     if not wide:  # N x N is no chunk shape when r <= N
-        with pytest.raises(ConfigError, match=accepted + " compressed rows$"):
+        with pytest.raises(ConfigError, match=whole):
             engine.statistics(np.zeros((2, N, N)))
 
 
@@ -318,12 +323,13 @@ def test_a_large_mean_costs_no_digits_of_sigma0(monkeypatch):
 
 
 def test_one_matrix_in_a_stack_is_bitwise_the_matrix():
-    """The one-matrix call is the B = 1 case: same bits as a stack of one."""
+    """The one-matrix call is the B = 1 case: same bits as a stack of its
+    one compressed matrix."""
     design = growth_curve((7, 9, 8), 12, 2).design
     engine = TraceTestEngine(design)
     X = np.random.default_rng(2).standard_normal((design.N, design.p))
     t, a2, b, s0 = engine.statistics(X)
-    t1, a21, b1, s01 = engine.statistics(X[None])
+    t1, a21, b1, s01 = engine.statistics(compress(X, engine.projections.compressor)[None])
     assert t == t1[0] and s0 == s01[0]
     assert np.array_equal(a2, a21[0]) and np.array_equal(b, b1[0])
     assert isinstance(t, float) and isinstance(s0, float)

@@ -61,8 +61,8 @@ class TestCache:
         _, scale = entry.colouring(S)
         with pytest.raises(ValueError):
             scale[0] = 1.0
-        w0, full = entry.symmetric_root(S)
-        assert w0 > 0.0 and not full.flags.writeable
+        full = CovarianceSpec(kind="diagonal_ramp", lo=1.0, hi=2.0).sqrt(4)
+        assert not full.flags.writeable
 
     def test_each_distinct_array_is_hashed_once(self):
         S, T = np.eye(3), 2.0 * np.eye(3)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -435,3 +436,97 @@ def test_cli_import_leaves_oracle_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+def _config_file(tmp_path, **entries):
+    """A simulate config on a (6, 6) x 3 one-way design (theta is 2 x 3)."""
+    cfg = {"scenario": {"name": "one-way", "group_sizes": [6, 6], "p": 3},
+           "reps": 100, "seed": 7, **entries}
+    return _write(tmp_path / "exp.json", json.dumps(cfg))
+
+
+def _manifest_with(tmp_path, key, value):
+    manifest = write_design(one_way_manova((6, 6), 3).design, tmp_path / "d")
+    spec = json.loads(manifest.read_text())
+    spec[key] = value
+    manifest.write_text(json.dumps(spec))
+    return manifest
+
+
+def _test_argv(tmp_path, manifest):
+    data, _ = _dataset_csv(tmp_path, one_way_manova((6, 6), 3).design)
+    return ["test", "--data", str(data), "--design", str(manifest)]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (lambda t: ["simulate", "--config", str(_config_file(t, scenario={
+        "name": "one-way", "group_sizes": [6, 6], "p": -1}))], "p must be"),
+    (lambda t: ["scenario", "--name", "one-way", "--groups", "5,5", "--p", "-2",
+                "--emit", str(t / "e")], "p must be"),
+    (lambda t: ["simulate", "--config", str(_config_file(t, theta={
+        "kind": "matrix", "values": [[1, 2, 3, 4], [1]]}))], "theta.values"),
+    (lambda t: ["simulate", "--config", str(_config_file(t, theta={
+        "kind": "signal_ray", "snr": 1.0, "direction": [[1, 2, 3], [1]]}))],
+     "theta.direction"),
+    (lambda t: _test_argv(t, _manifest_with(t, "A", 5)), "manifest.json"),
+], ids=["simulate-p", "scenario-p", "theta-values", "theta-direction", "manifest-A"])
+def test_malformed_input_is_exit_2_without_a_traceback(tmp_path, capsys, argv, named):
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def _simulated(tmp_path, theta) -> dict:
+    out = tmp_path / "summary.json"
+    f = _config_file(tmp_path, theta=theta, out=str(out))
+    assert main(["simulate", "--config", str(f), "--threads", "1"]) == 0
+    return json.loads(out.read_text())
+
+
+def _summary_of(theta) -> dict:
+    """The summary monte_carlo gives the config of _config_file with the
+    mean matrix theta (gaussian errors, identity covariances)."""
+    design = one_way_manova((6, 6), 3).design
+    model = gmanova.MeanModel(theta, (np.eye(3), np.eye(3)))
+    summary = gmanova.monte_carlo(design, model, gmanova.ErrorDistribution.gaussian(),
+                                  reps=100, seed=7, threads=1)
+    return dataclasses.asdict(summary)
+
+
+class TestMatrixTheta:
+    THETA = [[0.5, -0.25, 1.0], [0.0, 0.75, -0.5]]
+
+    def _check(self, summary, theta):
+        want = _summary_of(np.array(theta))
+        assert {k: summary[k] for k in want} == want
+
+    def test_values(self, tmp_path):
+        self._check(_simulated(tmp_path, {"kind": "matrix", "values": self.THETA}),
+                    self.THETA)
+
+    def test_path_is_read_next_to_the_config(self, tmp_path):
+        np.savetxt(tmp_path / "theta.csv", np.array(self.THETA), delimiter=",",
+                   fmt="%.17g")
+        self._check(_simulated(tmp_path, {"kind": "matrix", "path": "theta.csv"}),
+                    self.THETA)
+
+    def test_explicit_direction(self, tmp_path):
+        design = one_way_manova((6, 6), 3).design
+        sigmas = (np.eye(3), np.eye(3))
+        theta = gmanova.calibrate_signal_ray(design, np.array(self.THETA), sigmas, 1.5)
+        summary = _simulated(tmp_path, {"kind": "signal_ray", "snr": 1.5,
+                                        "direction": self.THETA})
+        self._check(summary, theta)
+
+    @pytest.mark.parametrize("theta, named", [
+        ({"kind": "matrix", "values": [[1.0, 2.0], [3.0, 4.0]]},
+         "theta.values has shape (2, 2)"),
+        ({"kind": "matrix", "path": "theta.csv"}, "theta.path theta.csv has shape (3, 3)"),
+        ({"kind": "signal_ray", "snr": 1.0, "direction": [[1.0, 2.0, 3.0]]},
+         "theta.direction has shape (1, 3)"),
+    ], ids=["values", "path", "direction"])
+    def test_wrong_shape_is_exit_2(self, tmp_path, capsys, theta, named):
+        np.savetxt(tmp_path / "theta.csv", np.eye(3), delimiter=",")
+        f = _config_file(tmp_path, theta=theta)
+        assert main(["simulate", "--config", str(f), "--threads", "1"]) == 2
+        assert named in capsys.readouterr().err

@@ -98,7 +98,7 @@ def test_cached_build_equals_a_fresh_build(case):
     for name in ("w", "q", "d"):
         _close(getattr(cached.factors, name), getattr(fresh.factors, name))
     _close(cached.factors.e, fresh.factors.e, float(np.max(np.abs(fresh.d))))
-    for name in ("pi_a", "pi_h", "d", "omega"):
+    for name in ("pi_a", "pi_h", "omega"):
         _close(getattr(cached.weights, name), getattr(fresh.weights, name))
     _close(cached.compressor, fresh.compressor)
     _close(cached.h_diag, fresh.h_diag)

@@ -10,7 +10,9 @@ Compared within 1e-10 relative: the balancing weights d, the residuals e,
 the relative residual, the lazily expanded omega, the omega o omega block
 sums, every field of the population and plug-in diagnostics, and
 sigma_full.  A design without
-balancing weights must raise the same exception on both routes.
+balancing weights must raise the same exception on both routes.  The
+mean's one route, mean_rows, gives the dense omega M and tr(M' omega M)
+within 1e-12 of their terms.
 
 Layouts: one-way, two-way, profile and growth designs; an intercept-only A
 shared by two groups; a continuous covariate (one class per row); a
@@ -48,8 +50,10 @@ from gmanova import (
     two_way_manova,
 )
 from gmanova.design import BALANCE_RTOL, residual_basis
+from gmanova.estimators import compress
 from gmanova.oracle import dense_min_norm_solve
 from gmanova.scenarios import EFFECTS
+from gmanova.trace_test import mean_rows
 
 from dense_forms import one_row_classes
 
@@ -183,6 +187,55 @@ def test_class_build_matches_dense_build(layout, data):
     scatters = estimate_variance(GroupedSample(X, sizes), design).s
     want = assumption_diagnostics(scatters, dense, heuristic=True)
     assert same_report(report.diagnostics, want)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mean_rows_are_the_dense_omega_product(layout, data):
+    """WM at each row's class is the dense omega M, and the Monte Carlo
+    offset sizes @ <WM, M> per class is the dense tr(M' omega M), each
+    within 1e-12 of the terms it sums, for the compressed mean rows M."""
+    design, model, _ = data.draw(cases(layout))
+    try:
+        proj = design.projections
+    except (NoBalancingSolution, GroupError) as exc:
+        event(type(exc).__name__)
+        return
+    classes = proj.weights.classes
+    M_rows = compress(design.A @ model.theta @ design.B.T, proj.compressor)
+    M, WM = mean_rows(model.theta, design)
+    omega = proj.omega
+    assert close(M[classes.index], M_rows)
+    terms = np.abs(omega) @ np.abs(M_rows)
+    assert np.all(np.abs(WM[classes.index] - omega @ M_rows) <= 1e-12 * terms)
+    offset = classes.sizes @ np.einsum("ij,ij->i", WM, M)
+    assert abs(offset - np.sum(M_rows * (omega @ M_rows))) <= 1e-12 * np.sum(
+        np.abs(M_rows) * terms)
+
+
+def test_mean_rows_are_none_for_a_mean_the_compressor_removes():
+    """No mean rows for theta = 0, nor for a mean on the coordinates that
+    R leaves out, which the compressor maps to exact zeros."""
+    base = one_way_manova((5, 6, 7), 4).design
+    design = DesignSpec(A=base.A, B=base.B, L=base.L, R=np.eye(4)[:2],
+                        group_sizes=base.group_sizes)
+    assert mean_rows(np.zeros((design.k, design.q)), design) is None
+    theta = np.zeros((design.k, design.q))
+    theta[:, 2:] = np.arange(1.0, 2 * design.k + 1).reshape(design.k, 2)
+    assert np.any(design.A @ theta @ design.B.T)
+    assert mean_rows(theta, design) is None
+    theta[0, 0] = 1.0
+    assert mean_rows(theta, design) is not None
+
+
+def test_every_mean_reader_names_a_theta_of_the_wrong_shape():
+    design = one_way_manova((5, 6), 3).design
+    model = MeanModel(np.ones((3, 3)), (np.eye(3),) * 2)
+    for call in (sigma_full, model_diagnostics):
+        with pytest.raises(ValueError, match="theta must be 2 x 3, got"):
+            call(model, design)
 
 
 def test_unsolvable_design_raises_on_both_routes():
