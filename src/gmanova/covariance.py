@@ -1,12 +1,14 @@
 """The covariance cache: per-covariance work done once per distinct matrix.
 
 A power study runs the test many times on the same covariances, and each
-run needs the same O(p^3) facts about each of them: the factor that
-colours standard draws, and the positive-definiteness verdict of the
-gates.  They are cached here, keyed by the shape and the SHA-256 of the
-C-contiguous float64 bytes, so an array edited in place is a new key and
-never reads a stale entry.  An entry also keeps whether the matrix is
-exactly symmetric.  It computes each value on first need,
+run needs the same O(p^3) facts about each of them: its spectrum, the
+positive-definiteness verdict of the gates, and the factor that colours
+standard draws.  They are cached here, keyed by the shape and the SHA-256
+of the C-contiguous float64 bytes, so an array edited in place is a new
+key and never reads a stale entry.  An entry keeps the eigenvalues w and
+eigenvectors V of its one eigh, and forms the symmetric root
+V diag(sqrt(w)) V' only when a caller reads it.  It also keeps whether
+the matrix is exactly symmetric.  It computes each value on first need,
 from the matrix it was looked up with, at one BLAS thread so the bits do
 not depend on which caller came first; every array it returns is
 read-only.  The cache keeps the CACHE_SIZE most recently used entries.
@@ -32,33 +34,32 @@ _CACHE: OrderedDict = OrderedDict()
 class CovarianceEntry:
     """The cached facts about one covariance.  Each method takes a matrix
     with the bytes the entry was looked up with.  One factorization, run on
-    the first call only, gives the colouring factor and the one
-    positive-definiteness verdict every gate reads: the diagonal of a
-    diagonal S, otherwise the eigendecomposition of its symmetric part,
-    judged by design.positive_definite.  Concurrent first calls may each
-    run it, and get bitwise-equal values."""
+    the first call only, gives the spectrum and the one positive-definiteness
+    verdict every gate reads: the diagonal of a diagonal S, otherwise the
+    eigendecomposition of its symmetric part, judged by
+    design.positive_definite.  The symmetric root is formed from it on the
+    first read of colouring.  Concurrent first calls may each run either
+    step, and get bitwise-equal values."""
 
     def __init__(self):
         self._factor = None
+        self._root = None
         self._symmetric = None
 
     def _factorize(self, S: np.ndarray):
-        """(minimum eigenvalue, verdict, symmetric root): the root of a full
-        positive definite S, else None."""
+        """(w, V, verdict): the spectrum (see spectrum) and the
+        positive-definiteness verdict, computed on the first call."""
         if self._factor is None:
-            w, root = np.diag(S), None
+            w, V = np.diag(S).copy(), None
             if not np.array_equal(S, np.diag(w)):
                 with one_blas_thread():
                     w, V = np.linalg.eigh((S + S.T) / 2.0)
-                    if positive_definite(w[0], w[-1]):
-                        root = (V * np.sqrt(w)) @ V.T
-                        root = _read_only((root + root.T) / 2.0)
-            w0 = float(np.min(w))
-            self._factor = (w0, positive_definite(w0, np.max(w)), root)
+                V = _read_only(V)
+            self._factor = (_read_only(w), V, positive_definite(np.min(w), np.max(w)))
         return self._factor
 
     def is_positive_definite(self, S: np.ndarray) -> bool:
-        return self._factorize(S)[1]
+        return self._factorize(S)[2]
 
     def is_symmetric(self, S: np.ndarray) -> bool:
         """Whether S equals its transpose exactly, judged on the first call."""
@@ -66,19 +67,30 @@ class CovarianceEntry:
             self._symmetric = bool(np.array_equal(S, S.T))
         return self._symmetric
 
+    def spectrum(self, S: np.ndarray):
+        """(w, V): the eigenvalues of S's symmetric part, ascending, and its
+        orthonormal eigenvectors in the columns of V; for a diagonal S its
+        diagonal and None.  Raises ValueError when S is not positive
+        definite."""
+        w, V, ok = self._factorize(S)
+        if not ok:
+            raise ValueError(
+                f"covariance is not positive definite (min eigenvalue {np.min(w):.3e})")
+        return w, V
+
     def colouring(self, S: np.ndarray):
         """(root, scale) for colouring standard rows with S: its symmetric
         root and None, or for a diagonal S None and the scale of each
         column (None for the identity).  Raises ValueError when S is not
         positive definite."""
-        w0, ok, root = self._factorize(S)
-        if not ok:
-            raise ValueError(
-                f"covariance is not positive definite (min eigenvalue {w0:.3e})")
-        if root is not None:
-            return root, None
-        d = np.diag(S)
-        return None, None if np.all(d == 1.0) else _read_only(np.sqrt(d))
+        w, V = self.spectrum(S)
+        if V is None:
+            return None, None if np.all(w == 1.0) else _read_only(np.sqrt(w))
+        if self._root is None:
+            with one_blas_thread():
+                root = (V * np.sqrt(w)) @ V.T
+            self._root = _read_only((root + root.T) / 2.0)
+        return self._root, None
 
 
 def lookup(sigmas):

@@ -5,13 +5,22 @@ component and satisfy the vanishing-odd-mixed-fourth-moment requirement,
 either through ellipticity or through independent standardized components.
 Replication j of a run draws from an independent counter-based substream
 keyed by (seed, j); each worker thread keeps one generator and re-keys it
-per replication, which draws the same bits.  Replications run in fixed
-chunks of B, each drawn into one reused buffer and holding the errors
-only: their compressed errors are written into a (B, N, r) stack when
-r <= N, and the N x N Grams of those into a (B, N, N) stack when r > N,
-one call of TraceTestEngine.statistics evaluates the stack, and the mean
-shifts each T exactly, read through its Omega-weighted class rows
-(trace_test.mean_rows).  B is the largest count whose stack fits
+per replication, which draws the same bits.  Errors are coloured in one of
+two ways, chosen once per call (_colouring).  When every group's law is
+spherical (gaussian or elliptical_t), the compressor is square, and the
+covariances share one eigenbasis V (one full covariance, every other one
+exactly c I), each group's standard rows are drawn in V: their columns are
+scaled by the square roots of the eigenvalues, one O(n_i p) pass, and the
+data matrix of replication j is defined as (Z Lambda^(1/2)) V' + A theta B'.
+Such a run's summary differs from that of the root route at the same
+seed, equal in law.  Other runs multiply each group's standard rows by
+the covariance's symmetric root, or scale the columns of a diagonal one.
+Replications run in fixed chunks of B, each drawn into one reused buffer
+and holding the errors only: their compressed errors are written into a
+(B, N, r) stack when r <= N, and the N x N Grams of those into a
+(B, N, N) stack when r > N, one call of TraceTestEngine.statistics
+evaluates the stack, and the mean shifts each T exactly, read through its
+Omega-weighted class rows (trace_test.mean_rows).  B is the largest count whose stack fits
 BATCH_BYTES (at least 1, at most MAX_BATCH), so it depends on the
 design's shape alone, and each replication's T and sigma0 are within
 1e-12 (relative to the terms they sum) of the one-matrix statistic.
@@ -114,6 +123,11 @@ class ErrorDistribution:
     @classmethod
     def rademacher(cls) -> "ErrorDistribution":
         return cls(kind="rademacher")
+
+    @property
+    def spherical(self) -> bool:
+        """Whether the law of a row is invariant under orthogonal maps."""
+        return self.kind in ("gaussian", "elliptical_t")
 
     @property
     def fourth_moment_bound(self) -> float:
@@ -219,18 +233,43 @@ class SimulationSummary:
     seed: int
 
 
+def _colouring(design: DesignSpec, dists, entries, sigmas):
+    """(V, factors): the basis V in which a run's errors are drawn, or
+    None, and each group's colouring factor (root, scale) from its
+    covariance cache entry.
+
+    V is the eigenbasis of the one full covariance when every group's law
+    is spherical, the compressor is square, every non-scalar covariance is
+    that one cache entry, and every other covariance is exactly c I.  Then
+    each group's standard rows Z_i have their columns scaled by the square
+    roots of the covariance's eigenvalues Lambda_i in V: Z_i V has the law
+    of Z_i, so (Z_i Lambda_i^(1/2)) V' has the law of the coloured rows,
+    and every trace of the test is invariant under X -> X V.  Otherwise V
+    is None and each factor is the entry's colouring.  Raises ValueError
+    when a covariance is not positive definite."""
+    spectra = [entry.spectrum(S) for entry, S in zip(entries, sigmas)]
+    full = {id(entry): V for entry, (_, V) in zip(entries, spectra) if V is not None}
+    if (len(full) == 1 and design.r == design.p and all(d.spherical for d in dists)
+            and all(V is not None or np.all(w == w[0]) for w, V in spectra)):
+        return next(iter(full.values())), [
+            entry.colouring(S) if basis is None else (None, np.sqrt(w))
+            for entry, S, (w, basis) in zip(entries, sigmas, spectra)]
+    return None, [entry.colouring(S) for entry, S in zip(entries, sigmas)]
+
+
 def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
-    """errors(seed, j, out), which writes the coloured N x p error rows of
+    """(errors, V): errors(seed, j, out) writes the N x p error rows of
     replication j into out (a C-contiguous N x p float array), drawn from
     the substream (seed, j) with one error distribution per group and the
-    model's covariances.  Each group's rows are drawn and coloured in
-    place, except that a full root needs the standard rows apart.  The
-    colouring factors come from the covariance cache entries of
-    model.sigmas (looked up when omitted).  Each thread that calls errors
-    keeps one generator, re-keyed per replication (_rekeyed)."""
+    model's covariances, in the basis V of _colouring, so the errors of
+    replication j are errors(seed, j) @ V' when V is not None.  Each
+    group's rows are drawn and scaled in place, except that a full root
+    needs the standard rows apart.  The cache entries of model.sigmas are
+    looked up when omitted.  Each thread that calls errors keeps one
+    generator, re-keyed per replication (_rekeyed)."""
     if entries is None:
         entries = lookup(model.sigmas)[0]
-    factors = [entry.colouring(S) for entry, S in zip(entries, model.sigmas)]
+    V, factors = _colouring(design, dists, entries, model.sigmas)
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
     p = design.p
@@ -247,17 +286,19 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
                     block *= scale
         return out
 
-    return errors
+    return errors, V
 
 
 def replication_sampler(design: DesignSpec, model: MeanModel, dists):
     """draw(seed, j): the N x p data matrix of replication j of a run keyed
-    by seed, the errors of _error_sampler plus the model's mean A theta B'."""
-    errors = _error_sampler(design, model, dists)
+    by seed, the errors of _error_sampler (times V' when they are drawn in
+    the basis V) plus the model's mean A theta B'."""
+    errors, V = _error_sampler(design, model, dists)
     mean = design.A @ model.theta @ design.B.T
 
     def draw(seed: int, j: int) -> np.ndarray:
-        return errors(seed, j, np.empty((design.N, design.p))) + mean
+        E = errors(seed, j, np.empty((design.N, design.p)))
+        return (E if V is None else E @ V.T) + mean
 
     return draw
 
@@ -304,17 +345,19 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     distributions is one ErrorDistribution per group (a single one is
     broadcast).  Replications run in chunks of batch_size(design), and one
     TraceTestEngine.statistics call evaluates each chunk.  The errors of
-    each replication are drawn into a reused buffer and compressed (a
-    square compressor is skipped).  When r <= N the compressed errors go
+    each replication are drawn into a reused buffer, in the shared
+    eigenbasis V when _colouring finds one, and compressed (a square
+    compressor is skipped).  When r <= N the compressed errors go
     into the chunk's (B, N, r) stack, which statistics centres in one
     pass.  When r > N one syrk writes their N x N Gram E E' into a
     (B, N, N) stack, which statistics reads at N x N size.  A chunk holds
     the errors only: the mean, which lies in the range of A, leaves the
     variance unchanged and shifts T exactly by
     2 <Omega M, E> + tr(M' Omega M) for the compressed mean M, with
-    Omega M read once per call from mean_rows, so a large mean costs no
-    digits of sigma0.  Each replication's T and sigma0 are within
-    1e-12 (relative to the terms they sum) of the one-matrix statistic.
+    Omega M read once per call from mean_rows (as Omega M V when the errors
+    E are drawn in V), so a large mean costs no digits of sigma0.  Each
+    replication's T and sigma0 are within 1e-12 (relative to the terms
+    they sum) of the one-matrix statistic.
 
     threads caps the worker threads, each running whole chunks: the call
     starts min(threads, chunks, usable_cpus()) of them.  B depends on the
@@ -349,20 +392,20 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     with one_blas_thread():
         entries, hits, misses = lookup(model.sigmas)
         engine = TraceTestEngine(design, alpha)
+        rows = mean_rows(model.theta, design)
         q = true_q(model.theta, design)
         sigma2, sigma0_sq = sigma_full(model, design, entries=entries)
         predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
-        errors = _error_sampler(design, model, dists, entries)
+        errors, V = _error_sampler(design, model, dists, entries)
         P = engine.projections.compressor
         square = P.shape[0] == P.shape[1]
         PT = None if square else np.ascontiguousarray(P.T)
         gram = r > N
         weighted = offset = None
-        rows = mean_rows(model.theta, design)
         if rows is not None:  # T's exact shift: 2 <Omega M, E> + tr(M' Omega M)
             M, WM = rows
             classes = engine.projections.weights.classes
-            weighted = WM[classes.index]
+            weighted = (WM if V is None else WM @ V)[classes.index]
             offset = float(classes.sizes @ np.einsum("ij,ij->i", WM, M))
         batch = batch_size(design)
         buffers = threading.local()
@@ -453,6 +496,13 @@ def calibrate_signal_ray(design: DesignSpec, direction, sigmas,
                           "it cannot generate power")
     sigma2_0, sigma0_sq = sigma_full(MeanModel(direction, tuple(sigmas)), design)
     v0 = max(sigma2_0 - sigma0_sq, 0.0)
-    c2 = (snr ** 2 * v0 + sqrt(snr ** 4 * v0 ** 2
-                               + 4.0 * q0 ** 2 * snr ** 2 * sigma0_sq)) / (2.0 * q0 ** 2)
-    return sqrt(c2) * direction
+    try:
+        c2 = (snr ** 2 * v0 + sqrt(snr ** 4 * v0 ** 2
+                                   + 4.0 * q0 ** 2 * snr ** 2 * sigma0_sq)) / (2.0 * q0 ** 2)
+    except OverflowError:
+        c2 = float("inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = sqrt(c2) * direction
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError(f"theta.snr {snr:g} is too large: the calibrated mean overflows")
+    return theta

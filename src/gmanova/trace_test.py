@@ -87,6 +87,16 @@ class TestReport:
     diagnostics: DiagnosticsReport | None = None
 
 
+def _all_finite(M: np.ndarray) -> bool:
+    """Whether every entry of M is finite.  Its sum of squares is finite
+    only then, and one dot product reads a 600 x 600 matrix about four
+    times faster than np.isfinite; only when that sum overflows are the
+    entries checked one by one."""
+    v = M.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(v @ v) or np.all(np.isfinite(v)))
+
+
 @dataclass(frozen=True, eq=False)
 class MeanModel:
     """A fully specified mean matrix and per-group covariances, used for
@@ -99,11 +109,15 @@ class MeanModel:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2:
             raise ValueError(f"theta must be 2-D, got shape {theta.shape}")
+        if not _all_finite(theta):
+            raise ConfigError("theta has non-finite entries")
         object.__setattr__(self, "theta", theta)
         sigmas = tuple(np.asarray(S, dtype=float) for S in self.sigmas)
         for i, S in enumerate(sigmas):
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError(f"covariance {i} must be square, got {S.shape}")
+            if not _all_finite(S):
+                raise ConfigError(f"covariance {i} has non-finite entries")
         object.__setattr__(self, "sigmas", sigmas)
 
 
@@ -243,18 +257,24 @@ def mean_rows(theta, design: DesignSpec):
     class means M (rows of A theta B' P') and the omega-weighted rows WM,
     whose row for a class is (Omega M)_i = sum_{j != i} omega_ij M_j at
     each row i of it.  None when M is exactly zero; ValueError unless
-    theta is k x q."""
+    theta is k x q, and ConfigError when the squares of M or WM overflow."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (design.k, design.q):
         raise ValueError(f"theta must be {design.k} x {design.q}, got {theta.shape}")
     proj = design.projections
     w = proj.weights
-    M = compress(design.A[w.classes.first] @ theta @ design.B.T, proj.compressor)
-    if not np.any(M):
-        return None
-    coef = w.omega * w.classes.sizes
-    coef[np.diag_indices_from(coef)] -= np.diag(w.omega)
-    return M, coef @ M
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = compress(design.A[w.classes.first] @ theta @ design.B.T, proj.compressor)
+        if not np.any(M):
+            return None
+        coef = w.omega * w.classes.sizes
+        coef[np.diag_indices_from(coef)] -= np.diag(w.omega)
+        WM = coef @ M
+        scale = np.sum(M * M) + np.sum(WM * WM)
+    if not np.isfinite(scale):
+        raise ConfigError("theta is too large: the squares of its class means "
+                          "A theta B' overflow")
+    return M, WM
 
 
 def _compressed_covariance(S, compressor, entry) -> np.ndarray:

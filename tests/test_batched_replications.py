@@ -3,7 +3,9 @@
 Over random one-way, growth-curve, two-way, profile and covariate designs
 (a within-group covariate on every row, so each row is its own class, and
 sum(k_i) > k), with r <= N and r > N, square and non-square compressors,
-zero, calibrated and 10^3 sigma means, and chunk sizes B forced through the
+zero, calibrated and 10^3 sigma means, covariances that are coloured by
+their roots or drawn in their shared eigenbasis (one AR(1) covariance
+beside c I under a spherical law), and chunk sizes B forced through the
 byte budget so that the replication count is not a multiple of B: a chunk
 is a (B, N, r) stack of compressed errors when r <= N and a (B, N, N) stack
 of error Grams when r > N, every replication's T and sigma0 from a chunk
@@ -61,7 +63,10 @@ LAYOUTS = ("one-way", "growth", "two-way", "profile", "covariate")
 def cases(draw, layout, wide):
     """(design, model, distribution, B, reps, large): a design of the
     layout with r > N when wide, a zero, calibrated or (large is then True)
-    10^3 sigma mean, and the chunk size B to force."""
+    10^3 sigma mean, and the chunk size B to force.  The covariances are
+    AR(1) and diagonal ramps by turns, or, under a Gaussian or elliptical
+    law, one AR(1) covariance beside c I for c != 1, which a square
+    compressor draws in the AR(1) eigenbasis."""
     if layout == "two-way":
         sizes = draw(st.lists(st.integers(4, 6), min_size=4, max_size=4))
     else:
@@ -83,7 +88,9 @@ def cases(draw, layout, wide):
                             B=design.B, L=np.hstack([design.L, np.zeros((design.ell, 1))]),
                             R=design.R, group_sizes=design.group_sizes)
     assert (design.r > design.N) == wide
+    shared = draw(st.booleans())
     sigmas = tuple(CovarianceSpec(kind="ar1", rho=0.4).matrix(p) if i % 2
+                   else (1.5 + i) * np.eye(p) if shared
                    else np.diag(np.linspace(1.0, 2.0 + i, p)) for i in range(design.g))
     mean = draw(st.sampled_from(("zero", "calibrated", "1e3 sigma")))
     direction = canonical_direction(design)
@@ -99,7 +106,7 @@ def cases(draw, layout, wide):
         theta = direction * (1e3 * sd / np.max(np.abs(design.A @ direction @ design.B.T)))
     B = draw(st.sampled_from((1, 2, 3, 7, 64)))
     reps = draw(st.sampled_from((100, 101, 117)))
-    dist = draw(st.sampled_from(DISTRIBUTIONS))
+    dist = draw(st.sampled_from(DISTRIBUTIONS[:2] if shared else DISTRIBUTIONS))
     return design, MeanModel(theta, sigmas), dist, B, reps, mean == "1e3 sigma"
 
 

@@ -438,6 +438,29 @@ def test_cli_import_leaves_oracle_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_loads_nothing_beyond_numpy_and_scipy():
+    """Importing the CLI loads only standard-library modules, gmanova's own,
+    and what `import numpy, scipy.special, scipy.stats` loads by itself; and
+    not gmanova.oracle.  This pins the import that the CLI's start-up
+    pays."""
+    src = str(Path(gmanova.__file__).resolve().parents[1])
+    code = "import json, sys; import {}; print(json.dumps(sorted(sys.modules)))"
+
+    def loaded(modules: str) -> set:
+        out = subprocess.run([sys.executable, "-c", code.format(modules)],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        return set(json.loads(out.stdout))
+
+    cli = loaded("gmanova.cli")
+    allowed = loaded("numpy, scipy.special, scipy.stats")
+    beyond = sorted(name for name in cli - allowed
+                    if name.partition(".")[0] not in sys.stdlib_module_names
+                    and name.partition(".")[0] != "gmanova")
+    assert beyond == []
+    assert "gmanova.oracle" not in cli
+
+
 def _config_file(tmp_path, **entries):
     """A simulate config on a (6, 6) x 3 one-way design (theta is 2 x 3)."""
     cfg = {"scenario": {"name": "one-way", "group_sizes": [6, 6], "p": 3},
@@ -469,7 +492,15 @@ def _test_argv(tmp_path, manifest):
         "kind": "signal_ray", "snr": 1.0, "direction": [[1, 2, 3], [1]]}))],
      "theta.direction"),
     (lambda t: _test_argv(t, _manifest_with(t, "A", 5)), "manifest.json"),
-], ids=["simulate-p", "scenario-p", "theta-values", "theta-direction", "manifest-A"])
+    (lambda t: ["simulate", "--config", str(_config_file(t, theta={
+        "kind": "signal_ray", "snr": 1e200}))], "theta.snr 1e+200 is too large"),
+    (lambda t: ["simulate", "--config", str(_config_file(t, theta={
+        "kind": "matrix", "values": [[1e308] * 3] * 2}))], "theta is too large"),
+    (lambda t: ["simulate", "--config", str(_config_file(t, theta={
+        "kind": "matrix", "path": str(_write(t / "theta.csv", "nan,1,2\n1,2,3\n"))}))],
+     "theta has non-finite entries"),
+], ids=["simulate-p", "scenario-p", "theta-values", "theta-direction", "manifest-A",
+        "theta-snr-overflow", "theta-mean-overflow", "theta-non-finite"])
 def test_malformed_input_is_exit_2_without_a_traceback(tmp_path, capsys, argv, named):
     assert main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -189,6 +189,36 @@ class TestSignalCalibration:
         with pytest.raises(ConfigError):
             calibrate_signal_ray(design, np.ones((2, 6)), (np.eye(6),) * 2, 1.0)
 
+    def test_overflowing_target_is_a_config_error(self):
+        """snr = 1e200 overflows the quadratic's snr^4 term: the error names
+        theta.snr instead of letting an OverflowError escape."""
+        design = one_way_manova((6, 6), 3).design
+        with pytest.raises(ConfigError, match="theta.snr 1e\\+200 is too large"):
+            calibrate_signal_ray(design, canonical_direction(design),
+                                 (np.eye(3),) * 2, 1e200)
+
+
+class TestFiniteMeanModel:
+    @pytest.mark.parametrize("theta, sigma, named", [
+        (np.array([[0.0, np.inf, 0.0], [0.0, 0.0, 0.0]]), np.eye(3), "theta"),
+        (np.zeros((2, 3)), np.diag([1.0, np.nan, 1.0]), "covariance 1"),
+    ], ids=["theta", "covariance"])
+    def test_non_finite_entries_rejected(self, theta, sigma, named):
+        with pytest.raises(ConfigError, match=f"{named} has non-finite entries"):
+            MeanModel(theta, (np.eye(3), sigma))
+
+    def test_overflowing_class_means_rejected(self):
+        """Entries of 1e308 are finite, but the squares of the class means
+        overflow: monte_carlo and sigma_full name theta instead of
+        reporting a summary of infinities."""
+        design = one_way_manova((6, 6), 3).design
+        model = MeanModel(np.full((2, 3), 1e308), (np.eye(3),) * 2)
+        with pytest.raises(ConfigError, match="theta is too large"):
+            sigma_full(model, design)
+        with pytest.raises(ConfigError, match="theta is too large"):
+            monte_carlo(design, model, ErrorDistribution.gaussian(), reps=100, seed=1,
+                        threads=1)
+
 
 class TestThreads:
     def test_env_resolution(self, monkeypatch):
