@@ -7,8 +7,9 @@ standard draws.  They are cached here, keyed by the shape and the SHA-256
 of the C-contiguous float64 bytes, so an array edited in place is a new
 key and never reads a stale entry.  An entry keeps the eigenvalues w and
 eigenvectors V of its one eigh, and forms the symmetric root
-V diag(sqrt(w)) V' only when a caller reads it.  It also keeps whether
-the matrix is exactly symmetric.  It computes each value on first need,
+V diag(sqrt(w)) V' only when a caller reads it, so an entry whose root was
+read holds two p x p arrays.  It also keeps whether the matrix is exactly
+symmetric.  It computes each value on first need,
 from the matrix it was looked up with, at one BLAS thread so the bits do
 not depend on which caller came first; every array it returns is
 read-only.  The cache keeps the CACHE_SIZE most recently used entries.

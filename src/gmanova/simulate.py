@@ -20,12 +20,13 @@ and holding the errors only: their compressed errors are written into a
 (B, N, r) stack when r <= N, and the N x N Grams of those into a
 (B, N, N) stack when r > N, one call of TraceTestEngine.statistics
 evaluates the stack, and the mean shifts each T exactly, read through its
-Omega-weighted class rows (trace_test.mean_rows).  B is the largest count whose stack fits
-BATCH_BYTES (at least 1, at most MAX_BATCH), so it depends on the
-design's shape alone, and each replication's T and sigma0 are within
-1e-12 (relative to the terms they sum) of the one-matrix statistic.
-numpy's OpenBLAS runs on one thread while a run lasts, so serial and
-thread-parallel executions produce bitwise-identical summaries.
+Omega-weighted class rows (trace_test.mean_rows).  B is the largest count
+whose stack fits BATCH_BYTES (at least 1, at most MAX_BATCH), so it
+depends on the design's shape alone, and each replication's T and sigma0
+are within 1e-12 (relative to the terms they sum) of the one-matrix
+statistic.  numpy's OpenBLAS runs on one thread while a run lasts, so
+serial and thread-parallel executions produce bitwise-identical
+summaries.
 """
 
 from __future__ import annotations

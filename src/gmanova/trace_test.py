@@ -87,16 +87,6 @@ class TestReport:
     diagnostics: DiagnosticsReport | None = None
 
 
-def _all_finite(M: np.ndarray) -> bool:
-    """Whether every entry of M is finite.  Its sum of squares is finite
-    only then, and one dot product reads a 600 x 600 matrix about four
-    times faster than np.isfinite; only when that sum overflows are the
-    entries checked one by one."""
-    v = M.ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(v @ v) or np.all(np.isfinite(v)))
-
-
 @dataclass(frozen=True, eq=False)
 class MeanModel:
     """A fully specified mean matrix and per-group covariances, used for
@@ -109,14 +99,14 @@ class MeanModel:
         theta = np.asarray(self.theta, dtype=float)
         if theta.ndim != 2:
             raise ValueError(f"theta must be 2-D, got shape {theta.shape}")
-        if not _all_finite(theta):
+        if not np.isfinite(theta).all():
             raise ConfigError("theta has non-finite entries")
         object.__setattr__(self, "theta", theta)
         sigmas = tuple(np.asarray(S, dtype=float) for S in self.sigmas)
         for i, S in enumerate(sigmas):
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError(f"covariance {i} must be square, got {S.shape}")
-            if not _all_finite(S):
+            if not np.isfinite(S).all():
                 raise ConfigError(f"covariance {i} has non-finite entries")
         object.__setattr__(self, "sigmas", sigmas)
 

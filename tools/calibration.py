@@ -9,15 +9,15 @@ depend on how full covariances are coloured: Gaussian and elliptical t
 (df 8) errors, each with AR(1) covariances in both groups of (50, 50) and
 with the identity beside a tripled AR(1) in (40, 60), at p = 200.
 
-Each case runs at the frozen 10^4 replications over --seeds seeds that
-are disjoint from every frozen seed, and once at its frozen seed.  The
+Each case runs at the frozen 10^4 replications over 20 seeds that are
+disjoint from every frozen seed, and once at its frozen seed.  The
 output records, per case, the size and KS distance of every run, their
 means and standard deviations, and the fraction of seeds that fail each
 frozen bound with a 95% Clopper-Pearson interval.  monte_carlo summaries
 do not depend on the thread count, and nothing time- or machine-dependent
 is written, so a re-run reproduces the file bit for bit.
 
-Run from the repository root:
+Run from the repository root (GMANOVA_THREADS sets the thread count):
 
     PYTHONPATH=src python tools/calibration.py --out CALIBRATION.json
 """
@@ -37,6 +37,7 @@ from gmanova import CovarianceSpec, ErrorDistribution, MeanModel, monte_carlo, o
 
 P = 200
 REPS = 10_000
+SEEDS = 20  # sweep seeds per case
 ALPHA = 0.05
 SIZE_BOUND = 0.015  # |size - ALPHA| <= SIZE_BOUND
 KS_BOUND = 0.03
@@ -74,14 +75,14 @@ def fail_fraction(failed: list[bool]) -> dict:
     return {"failed": k, "seeds": n, "fraction": k / n, "clopper_pearson_95": clopper_pearson(k, n)}
 
 
-def run_case(cov: str, dist: str, seeds: list[int], reps: int, threads: int) -> dict:
+def run_case(cov: str, dist: str, seeds: list[int]) -> dict:
     sizes, specs = COVARIANCES[cov]
     design = one_way_manova(sizes, P).design
     model = MeanModel(np.zeros((design.k, design.q)), tuple(s.matrix(P) for s in specs))
 
     def run(seed: int) -> dict:
-        summary = monte_carlo(design, model, DISTRIBUTIONS[dist], alpha=ALPHA, reps=reps,
-                              seed=seed, threads=threads)
+        summary = monte_carlo(design, model, DISTRIBUTIONS[dist], alpha=ALPHA, reps=REPS,
+                              seed=seed)
         return {"seed": seed, "size": summary.rejection_rate, "ks": summary.ks_distance}
 
     runs = []
@@ -107,21 +108,16 @@ def run_case(cov: str, dist: str, seeds: list[int], reps: int, threads: int) -> 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=Path("CALIBRATION.json"))
-    parser.add_argument("--seeds", type=int, default=20, help="sweep seeds per case")
-    parser.add_argument("--reps", type=int, default=REPS, help="replications per run")
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args(argv)
-    if not 2 <= args.seeds <= 100:
-        parser.error("--seeds must be in [2, 100]")
     cases = []
     for c, (cov, dist) in enumerate(CASES):
-        seeds = [SEED_BASE + 100 * c + s for s in range(args.seeds)]
+        seeds = [SEED_BASE + 100 * c + s for s in range(SEEDS)]
         assert FROZEN_SEEDS.isdisjoint(seeds)
-        cases.append(run_case(cov, dist, seeds, args.reps, args.threads))
+        cases.append(run_case(cov, dist, seeds))
     record = {
-        "p": P, "reps": args.reps, "alpha": ALPHA,
+        "p": P, "reps": REPS, "alpha": ALPHA,
         "bounds": {"size": f"|size - {ALPHA}| <= {SIZE_BOUND}", "ks": f"ks <= {KS_BOUND}"},
-        "seeds": f"{SEED_BASE} + 100 * case + s, s < {args.seeds}",
+        "seeds": f"{SEED_BASE} + 100 * case + s, s < {SEEDS}",
         "numpy": np.__version__,
         "cases": cases,
     }
