@@ -46,7 +46,7 @@ from .simulate import (
     monte_carlo,
     replication_sampler,
 )
-from .trace_test import MeanModel, run_test, statistic_t
+from .trace_test import MeanModel, TraceTestEngine, mean_rows, run_test, statistic_t
 
 
 def _parse_sizes(text: str, what: str) -> tuple[int, ...]:
@@ -96,13 +96,15 @@ def _broadcast(specs, g: int, what: str) -> list:
 
 
 def _theta_matrix(M, what: str, design: DesignSpec) -> np.ndarray:
-    """M as the k x q float matrix of theta; ConfigError naming what otherwise."""
+    """M as the k x q finite float matrix of theta; ConfigError naming what otherwise."""
     try:
         M = np.asarray(M, dtype=float)
     except ValueError as exc:
         raise ConfigError(f"{what} is not a rectangular matrix: {exc}") from exc
     if M.shape != (design.k, design.q):
         raise ConfigError(f"{what} has shape {M.shape}, design needs ({design.k}, {design.q})")
+    if not np.isfinite(M).all():
+        raise ConfigError(f"theta has non-finite entries in {what}")
     return M
 
 
@@ -142,9 +144,7 @@ def build_experiment(config: dict, base: Path):
     covs = [CovarianceSpec(**c)
             for c in _broadcast(config.get("covariances", {"kind": "identity"}),
                                 g, "covariances")]
-    for c in covs:
-        c.sqrt(p)  # positive-definiteness gate before any computation
-    sigmas = tuple(c.matrix(p) for c in covs)
+    sigmas = tuple(c.checked_matrix(p) for c in covs)  # gated before any computation
     theta = _theta_from_config(config.get("theta", {"kind": "zero"}),
                                design, sigmas, base)
     model = MeanModel(theta=theta, sigmas=sigmas)
@@ -229,6 +229,8 @@ def cmd_diagnose(args) -> int:
     config = load_config(args.config)
     base = Path(args.config).parent
     design, model, dists, alpha, _, seed = build_experiment(config, base)
+    TraceTestEngine(design, alpha)  # the gates monte_carlo applies first
+    mean_rows(model.theta, design)  # and its overflow check of the mean
     proj = design.projections
     ok = True
     ok &= _check("hat projection idempotent",
@@ -253,15 +255,15 @@ def cmd_diagnose(args) -> int:
                  float(np.max(np.abs(np.diag(proj.omega)))) == 0.0)
 
     draw = replication_sampler(design, model, dists)
-    worst = worst_factored = 0.0
+    gaps = np.empty((args.draws, 2))
     for j in range(args.draws):
         X = draw(seed, j)
         dense = statistic_t(X, proj.compressor, proj.omega)
         factored = statistic_t(X, proj.compressor, proj.factors)
         slow = t_by_decomposition(X, design)
-        worst = max(worst, abs(dense - slow) / max(1.0, abs(slow)))
-        worst_factored = max(worst_factored,
-                             abs(factored - dense) / max(1.0, abs(dense)))
+        gaps[j] = (abs(dense - slow) / max(1.0, abs(slow)),
+                   abs(factored - dense) / max(1.0, abs(dense)))
+    worst, worst_factored = np.max(gaps, axis=0)  # NaN when a gap is, and fails
     ok &= _check(f"statistic identity on {args.draws} draws", worst <= 1e-8,
                  f"worst relative gap {worst:.3e}")
     ok &= _check(f"factored statistic on {args.draws} draws",

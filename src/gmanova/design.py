@@ -10,10 +10,10 @@ matrix Omega that makes the trace statistic unbiased.  Rows of one group
 with equal rows of A form a row class; the projections, the weights and
 Omega are constant on classes, so they are built between class
 representatives (ClassWeights, through which Omega reads the model) and
-kept in factored form (OmegaFactors, through which it reads data: one
-centring pass gives the statistic and the variance estimate's row norms,
-gram_form tr(Omega G) for Grams).  The variance estimate's design
-constants are cached here too (DesignSpec.tau, ClassWeights.block_sums).
+kept in factored form (OmegaFactors, through which it reads data: T
+from the centred rows' norms and K x K products with the groups' basis).
+The variance estimate's design constants are cached here too
+(DesignSpec.tau, ClassWeights.block_sums).
 """
 
 from __future__ import annotations
@@ -346,32 +346,30 @@ class OmegaFactors:
 
         omega = W'W - C diag(d) C - diag(e),   C = I - QQ',
 
-    with W the ell x N root of pi_h, Q the N x k orthonormal basis of A, d
-    the balancing weights and e = h - (C o C) d the balancing residual, so
-    that the diagonal of omega is exactly zero.  No N x N matrix is formed.
+    with W the ell x N root of pi_h (DesignSpec.hypothesis_root), Q the
+    N x k orthonormal basis of A (DesignSpec.a_basis), d the balancing
+    weights and e = h - (C o C) d the balancing residual
+    (ProjectionSet.d and .e), so that the diagonal of omega is exactly
+    zero.  No N x N matrix is formed.
 
-    T = tr(Y' omega Y) is read from one centring of Y on an orthonormal
-    N x K basis U whose span holds range(A), the block-diagonal basis of
-    the groups.  The rows of W lie in range(A), so W Y = (W U) V with
-    V = U'Y.  With R = Y - U V each row is y_i = R_i + u_i V, and
-    (C Y)_i = R_i + u_i Z with Z = (I - G G') V, G = U'Q (Z = 0 when
-    rank A = K, as span(Q) is then span(U)).  For the weights w = e
-    (X = V) and w = d (X = Z),
+    T = tr(Y' omega Y) is read through an orthonormal N x K basis U whose
+    span holds range(A), the block-diagonal basis of the groups.  The rows
+    of W lie in range(A), so W Y = (W U) V with V = U'Y.  With R = Y - U V
+    each row is y_i = R_i + u_i V, and (C Y)_i = R_i + u_i F V with
+    F = I - G G', G = U'Q (F V = 0 when rank A = K, as span(Q) is then
+    span(U)).  For the weights w = e (F = I) and w = d,
 
-        sum_i w_i ||R_i + u_i X||^2
-            = w' sq + <X, 2 (U'diag(w) Y - U_w V) + U_w X>,
+        sum_i w_i ||R_i + u_i F V||^2
+            = w' sq + 2 <F, P_w> - <U_w F + F U_w - F U_w F, V V'>,
 
-    U_w = U'diag(w) U, so T needs the squared row norms sq of R and
-    K-dimensional terms only.  lift stacks U', (e o U)' and, when
-    rank A < K, (d o U)': one product lift Y gives V and each
-    U'diag(w) Y.  terms holds (U_w, I - G G' or None for X = V) per
-    weight, in the order of lift, wu = W U and de = d + e.
+    U_w = U'diag(w) U and P_w = U'diag(w) Y V', so T needs the squared
+    row norms sq of R and the K x K products S = (lift Y) V' only.  lift
+    stacks U', (e o U)' and, when rank A < K, (d o U)': its product with Y
+    gives V and each U'diag(w) Y, so S stacks V V' and each P_w.  terms
+    holds (F, U_w F + F U_w - F U_w F) per weight, in the order of lift,
+    wu = W U and de = d + e.
     """
 
-    w: np.ndarray
-    q: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
     u: np.ndarray
     lift: np.ndarray
     wu: np.ndarray
@@ -381,14 +379,27 @@ class OmegaFactors:
     @classmethod
     def build(cls, w, q, d, e, u) -> "OmegaFactors":
         K = u.shape[1]
-        weights, terms = [e], [(u.T @ (e[:, None] * u), None)]
+        weights, folds = [e], [np.eye(K)]
         if q.shape[1] < K:
             G = u.T @ q
             weights.append(d)
-            terms.append((u.T @ (d[:, None] * u), np.eye(K) - G @ G.T))
+            folds.append(np.eye(K) - G @ G.T)
+        MFs = [u.T @ (v[:, None] * u) @ F for v, F in zip(weights, folds)]
         lift = np.vstack([u.T] + [(v[:, None] * u).T for v in weights])
-        return cls(w=w, q=q, d=d, e=e, u=u, lift=lift, wu=w @ u, de=d + e,
-                   terms=tuple(terms))
+        return cls(u=u, lift=lift, wu=w @ u, de=d + e,
+                   terms=tuple((F, MF + MF.T - F @ MF) for F, MF in zip(folds, MFs)))
+
+    def trace(self, S, sq) -> np.ndarray:
+        """T of each matrix Y of a stack, from its (B, J K, K) products
+        S = (lift Y)(U'Y)' and the N x B squared norms sq of its rows
+        centred on U."""
+        K = self.u.shape[1]
+        VV = S[:, :K]
+        t = np.einsum("bij,ij->b", self.wu @ VV, self.wu) - self.de @ sq
+        for j, (F, C) in enumerate(self.terms, start=1):
+            t += np.einsum("bij,ij->b", VV, C)
+            t -= 2.0 * np.einsum("bij,ij->b", S[:, j * K:(j + 1) * K], F)
+        return t
 
     def centre(self, Z, r: int):
         """(t, R, sq) for a side-by-side matrix Z of r-column blocks: T of
@@ -400,48 +411,19 @@ class OmegaFactors:
         R = self.u @ V
         np.subtract(Z, R, out=R)
         sq = block_sq_norms(R, r)
-        WV = self.wu @ V
-        t = _block_dots(WV, WV, r) - self.de @ sq
-        for j, (M, fold) in enumerate(self.terms, start=1):
-            X = V if fold is None else fold @ V
-            P = lifted[j * K:(j + 1) * K] - M @ V
-            P *= 2.0
-            P += M @ X
-            t -= _block_dots(X, P, r)
-        return t, R, sq
-
-    def quadratic_form(self, Y) -> float:
-        """tr(Y' omega Y) for an N x r matrix Y: one centring of Y on the
-        groups' basis, in O(N (K + ell) r) for K = sum(k_i)."""
-        return float(self.centre(Y, Y.shape[1])[0][0])
-
-    def gram_form(self, G):
-        """tr(omega G) for the N x N Gram G = Y Y' of each matrix of a
-        (B, N, N) stack: tr(W G W') - sum_i d_i (C G C)_ii - sum_i e_i G_ii,
-        an array of B values, in O(N^2 (ell + k)) per Gram."""
-        N = G.shape[-1]
-        rows = G.reshape(-1, N)  # G is symmetric: the rows of G W' are those of W G
-        GW = (rows @ self.w.T).reshape(len(G), -1)
-        GQ = (rows @ self.q).reshape(len(G), N, -1)
-        g_diag = np.diagonal(G, axis1=1, axis2=2)
-        # (C G C)_ii = G_ii - sum_a q_ia (2 G Q - Q Q'G Q)_ia
-        inner = 2.0 * GQ - self.q @ (self.q.T @ GQ)
-        cgc = g_diag - np.einsum("bia,ia->bi", inner, self.q)
-        return GW @ self.w.T.ravel() - cgc @ self.d - g_diag @ self.e
-
-
-def _block_dots(X, Y, r: int) -> np.ndarray:
-    """<X_b, Y_b> for each r-column block of two side-by-side matrices."""
-    return np.einsum("ij,ij->j", X, Y).reshape(-1, r).sum(axis=1)
+        n = sq.shape[1]
+        S = lifted.reshape(-1, n, r).swapaxes(0, 1) @ V.reshape(K, n, r).transpose(1, 2, 0)
+        return self.trace(S, sq), R, sq
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Design geometry consumed by the test: the diagonal of the hypothesis
-    projection, the row compressor, the balancing weights d (one per row),
-    the relative balancing residual, omega's factors, which the data are
-    read through, and the class weights, which the variance, the
-    diagnostics and the mean's omega-weighted rows read.
+    projection, the row compressor, the balancing weights d and the
+    balancing residual e (one of each per row), the relative balancing
+    residual, omega's factors, which the data are read through, and the
+    class weights, which the variance, the diagnostics and the mean's
+    omega-weighted rows read.
 
     The dense N x N hat projection pi_a, hypothesis projection pi_h and
     weight matrix omega are expanded from the class weights on first read,
@@ -451,6 +433,7 @@ class ProjectionSet:
     h_diag: np.ndarray
     compressor: np.ndarray
     d: np.ndarray
+    e: np.ndarray
     balancing_residual: float
     factors: OmegaFactors
     weights: ClassWeights
@@ -631,10 +614,9 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     for M in (*vars(classes).values(), pi_a, pi_h, omega, compressor, h, row_d, row_e,
               factors.lift, factors.wu, factors.de,
               *(M for term in factors.terms for M in term)):
-        if M is not None:
-            _read_only(M)
+        _read_only(M)
     weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, omega=omega)
-    return ProjectionSet(h_diag=h, compressor=compressor, d=row_d,
+    return ProjectionSet(h_diag=h, compressor=compressor, d=row_d, e=row_e,
                          balancing_residual=rel, factors=factors,
                          weights=weights)
 

@@ -14,13 +14,13 @@ for each matrix of a stack.  It needs tr S_i, tr(S_i S_j) and Q_i only.
 centred_stack takes compressed rows Y and centres them in one pass on
 the block-diagonal basis U of the groups, R = Y - U(U'Y), through
 OmegaFactors.centre: the squared norms of the rows of R give tr S_i and
-Q_i and, with K-dimensional terms, T as well; tr(S_i S_j) comes from the
+Q_i and, with K x K products, T as well; tr(S_i S_j) comes from the
 unscaled r x r products R_i'R_i when r <= N, and otherwise from the N x N
-Gram H = R R', as tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).
-gram_variance reads the same from residual Grams, which residual_grams
-forms from Grams E E' of uncentred rows, and is the one r > N kernel of
-both.  The r x r scatters S_i themselves are formed by
-group_residual_scatter only when VarianceEstimate.s is read.
+Gram H = R R', as tr(S_i S_j) = ||R_i R_j'||^2 / (m_i m_j).  gram_stack
+reads all of it from Grams E E' of uncentred rows, through one product
+with U; gram_variance is the one r > N kernel of both.  The r x r
+scatters S_i are formed by group_residual_scatter only when
+VarianceEstimate.s is read.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ def centred_stack(Y, design: DesignSpec):
     runs over N first, a transposed (N, B, r) array, else a copy),
     OmegaFactors.centre centres Z on the block-diagonal basis U of the
     groups, R = Z - U U'Z, and the squared norms of the rows of R give
-    tr S_i, Q_i and, with K-dimensional terms, t (bitwise the t of
-    OmegaFactors.quadratic_form).  tr(S_i S_j) comes from the unscaled
+    tr S_i, Q_i and, with K x K products, t (bitwise the t of
+    trace_test.statistic_t).  tr(S_i S_j) comes from the unscaled
     r x r syrks R_i'R_i of each group when r <= N, by dot products
     divided by m_i m_j afterwards, and from the N x N Grams H = R R'
     (gram_variance) when r > N.  Everything after those products is one
@@ -299,18 +299,23 @@ def centred_stack(Y, design: DesignSpec):
     return (t, *_variance(sq.T, S @ S.swapaxes(1, 2), design))
 
 
-def residual_grams(G, design: DesignSpec) -> np.ndarray:
-    """H = M G M for each N x N Gram G = E E' of a (B, N, N) stack, with
-    M = I - U U' for the block-diagonal group basis U (DesignSpec.group_basis):
-    the Grams of the group-centred rows.  As H = G - [U L] [L U]' with
-    L = G U - U (U'G U) / 2, it takes one product of G with U and one
-    rank-2 sum(k_i) update per Gram."""
-    U = design.group_basis
+def gram_stack(G, design: DesignSpec):
+    """centred_stack of compressed rows E, read from the (B, N, N) stack of
+    their Grams G = E E' through one product G U with the group basis U.
+    As G U = E (U'E)', lift G U are the products OmegaFactors.trace reads,
+    U'G U the first block.  With L = G U - U (U'G U) / 2 the residual Grams
+    M G M, M = I - U U', are H = G - [U L] [L U]': one rank-2K update per
+    Gram, whose diagonal gives the centred row norms t reads too."""
+    factors = design.projections.factors
+    U = factors.u
     L = np.matmul(G, U)
-    L -= U @ (U.T @ L) / 2.0
+    S = factors.lift @ L
+    L -= U @ (S[:, :U.shape[1]] / 2.0)
     U = np.broadcast_to(U, L.shape)
     H = np.concatenate((U, L), axis=2) @ np.concatenate((L, U), axis=2).swapaxes(1, 2)
-    return np.subtract(G, H, out=H)
+    np.subtract(G, H, out=H)
+    t = factors.trace(S, np.diagonal(H, axis1=1, axis2=2).T)
+    return (t, *gram_variance(H, design))
 
 
 def gram_variance(H, design: DesignSpec):

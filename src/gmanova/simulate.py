@@ -207,15 +207,21 @@ class CovarianceSpec:
             S = np.diag(np.linspace(self.lo, self.hi, p))
         return self.scale * S
 
+    def checked_matrix(self, p: int) -> np.ndarray:
+        """The matrix at dimension p once its covariance cache entry finds it
+        positive definite, forming no root; ConfigError otherwise."""
+        S = self.matrix(p)
+        try:
+            lookup([S])[0][0].spectrum(S)
+        except ValueError as exc:
+            raise ConfigError(f"{self.kind} {exc} at p={p}") from exc
+        return S
+
     def sqrt(self, p: int) -> np.ndarray:
         """The symmetric square root at dimension p, read-only, from the
         covariance cache."""
-        S = self.matrix(p)
-        (entry,), _, _ = lookup([S])
-        try:
-            root, _ = entry.colouring(S)
-        except ValueError as exc:
-            raise ConfigError(f"{self.kind} {exc} at p={p}") from exc
+        S = self.checked_matrix(p)
+        root, _ = lookup([S])[0][0].colouring(S)
         return root if root is not None else _read_only(np.diag(np.sqrt(np.diag(S))))
 
 

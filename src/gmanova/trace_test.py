@@ -6,11 +6,12 @@ diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
 sum_i e_i ||y_i||^2, read from one centring of Y on the groups' basis
 (design.OmegaFactors.centre, the pass the variance estimate reads too),
 so no N x N matrix is read; it also takes the dense N x N Omega, the
-reference form.  The variance, the diagnostics and the exact variance
-decomposition read Omega between row classes only (ClassWeights, with
-its cached omega o omega block sums, class sizes and groups), the mean
-through mean_rows and every compressed covariance through
-_compressed_covariance.  run_test wires the full pipeline (projections,
+reference form; Grams are read through them by estimators.gram_stack.
+The variance, the diagnostics and the exact variance decomposition read
+Omega between row classes only (ClassWeights, with its cached omega o
+omega block sums, class sizes and groups), the mean through mean_rows and
+every compressed covariance through _compressed_covariance.  run_test
+wires the full pipeline (projections,
 per-group scatter, variance estimate, decision) for a single dataset,
 while TraceTestEngine precomputes every design-dependent quantity so
 Monte Carlo drivers pay only the data-dependent cost per replication.
@@ -43,8 +44,7 @@ from .estimators import (
     centred_stack,
     compress,
     estimate_variance,
-    gram_variance,
-    residual_grams,
+    gram_stack,
     sigma0_from_blocks,
 )
 
@@ -119,8 +119,8 @@ def statistic_t(X, compressor, omega) -> float:
     matrix, or the dense N x N weight matrix, the reference form.
     """
     Y = compress(X, compressor)
-    if isinstance(omega, OmegaFactors):
-        return omega.quadratic_form(Y)
+    if isinstance(omega, OmegaFactors):  # one centring, O(N (K + ell) r)
+        return float(omega.centre(Y, Y.shape[1])[0][0])
     return float(np.sum((np.asarray(omega, dtype=float) @ Y) * Y))
 
 
@@ -173,12 +173,10 @@ class TraceTestEngine:
         and b is B x g x g.  Rows are read by estimators.centred_stack,
         which centres them once on the groups' block-diagonal basis and
         takes t and the variance from that one pass.  A Gram stack is read
-        at N x N size only: t = tr(Omega G) through Omega's factors, and
-        the variance from the residual Grams M G M, M = I -
-        blockdiag(U_i U_i') the group-centring projector.
-        Both are exact for any rows, but a large mean in the rows costs
-        digits of sigma0_sq when they are centred, so monte_carlo passes
-        the errors and adds the mean's exact shift of t.
+        at N x N size only, by estimators.gram_stack, through one product
+        with the same basis.  Both are exact for any rows, but a large mean
+        in the rows costs digits of sigma0_sq when they are centred, so
+        monte_carlo passes the errors and adds the mean's exact shift of t.
         """
         N, p, r = self.design.N, self.design.p, self.design.r
         gram = r > N and X.ndim == 3 and X.shape[1:] == (N, N)
@@ -187,11 +185,8 @@ class TraceTestEngine:
             raise ConfigError(
                 f"data shape {X.shape} does not match design: expected ({N}, {p}), "
                 f"or a stack of (B, {N}, {r}) compressed rows{grams}")
-        if gram:
-            _, a2, b, sigma0_sq = gram_variance(residual_grams(X, self.design), self.design)
-            return self.projections.factors.gram_form(X), a2, b, sigma0_sq
         Y = X if X.ndim == 3 else compress(X, self.projections.compressor)[None]
-        t, _, a2, b, sigma0_sq = centred_stack(Y, self.design)
+        t, _, a2, b, sigma0_sq = (gram_stack if gram else centred_stack)(Y, self.design)
         if X.ndim == 2:
             return float(t[0]), a2[0], b[0], float(sigma0_sq[0])
         return t, a2, b, sigma0_sq

@@ -147,10 +147,11 @@ def _check_close(got_t, got_s0, design, X, E=None):
 def _t_terms(design, Y) -> float:
     """The magnitude of the terms T sums through omega's factors for the
     compressed rows Y."""
-    f = design.projections.factors
-    CY = Y - f.q @ (f.q.T @ Y)
-    return (np.sum((f.w @ Y) ** 2) + np.abs(f.d) @ np.sum(CY * CY, axis=1)
-            + np.abs(f.e) @ np.sum(Y * Y, axis=1))
+    proj, Q = design.projections, design.a_basis
+    CY = Y - Q @ (Q.T @ Y)
+    return (np.sum((design.hypothesis_root @ Y) ** 2)
+            + np.abs(proj.d) @ np.sum(CY * CY, axis=1)
+            + np.abs(proj.e) @ np.sum(Y * Y, axis=1))
 
 
 def _s0_terms(design, a2, b) -> float:

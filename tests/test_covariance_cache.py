@@ -206,6 +206,22 @@ class TestSimulateVerb:
         assert main(["simulate", "--config", str(f), "--threads", "1"]) == 0
         assert shapes.count((p, p)) == 2
 
+    @pytest.mark.parametrize("dist, route", [
+        ({"kind": "elliptical_t", "df": 8.0}, "eigenbasis"),
+        ({"kind": "standardized_gamma", "shape": 1.5}, "root")])
+    def test_only_the_root_route_forms_a_root(self, tmp_path, dist, route):
+        """The simulate verb gates each covariance through its cache entry's
+        verdict; the eigenbasis route reads no root, so its run leaves the
+        one entry without one, while the root route forms it."""
+        cfg = {"scenario": {"name": "one-way", "group_sizes": [6, 6], "p": 7},
+               "distributions": dist, "covariances": {"kind": "ar1", "rho": 0.5},
+               "reps": 100, "seed": 3}
+        f = tmp_path / "exp.json"
+        f.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(f), "--threads", "1"]) == 0
+        (entry,) = covariance._CACHE.values()
+        assert (entry._root is None) == (route == "eigenbasis")
+
 
 class TestDesignWork:
     def test_hypothesis_grams_cached_on_the_design(self):

@@ -507,6 +507,59 @@ def test_malformed_input_is_exit_2_without_a_traceback(tmp_path, capsys, argv, n
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta, key", [
+    ({"kind": "matrix", "values": [[1.0, float("nan"), 2.0], [1.0, 2.0, 3.0]]},
+     "theta.values"),
+    ({"kind": "matrix", "values": [[1.0, 2.0, 3.0], [1.0, float("inf"), 3.0]]},
+     "theta.values"),
+    ({"kind": "matrix", "path": "theta.csv"}, "theta.path theta.csv"),
+    ({"kind": "signal_ray", "snr": 2.0,
+      "direction": [[float("nan"), 1.0, 2.0], [1.0, 2.0, 3.0]]}, "theta.direction"),
+], ids=["values-nan", "values-inf", "path", "direction"])
+def test_non_finite_theta_names_its_key(tmp_path, capsys, theta, key):
+    """A non-finite entry of any theta matrix is rejected naming the key it
+    came from, before a signal ray is calibrated on it."""
+    _write(tmp_path / "theta.csv", "1,inf,2\n1,2,3\n")
+    f = _config_file(tmp_path, theta=theta)
+    assert main(["simulate", "--config", str(f), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"theta has non-finite entries in {key}" in err
+    assert "annihilated" not in err and "Traceback" not in err
+
+
+class TestDiagnoseGates:
+    def test_a_group_without_an_a2_exits_as_simulate_does(self, tmp_path, capsys):
+        """With N_i - k_i = 1 in every group the engine raises naming the
+        group; diagnose applies that gate before its oracle checks."""
+        f = _write(tmp_path / "exp.json", json.dumps(
+            {"scenario": {"name": "one-way", "group_sizes": [2, 2], "p": 3},
+             "reps": 100, "seed": 7}))
+        messages = []
+        for verb in ("simulate", "diagnose"):
+            assert main([verb, "--config", str(f)]) == 2
+            captured = capsys.readouterr()
+            assert "PASS" not in captured.out and "FAIL" not in captured.out
+            messages.append(captured.err)
+        assert messages[0] == messages[1]
+        assert "group 0: needs N_i - k_i >= 2" in messages[0]
+
+    def test_an_overflowing_mean_exits_2(self, tmp_path, capsys):
+        f = _config_file(tmp_path, theta={"kind": "matrix", "values": [[1e308] * 3] * 2})
+        assert main(["diagnose", "--config", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert "theta is too large" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_a_non_finite_gap_fails(self, tmp_path, capsys, monkeypatch):
+        from gmanova import oracle
+
+        monkeypatch.setattr(oracle, "t_by_decomposition", lambda X, design: float("nan"))
+        assert main(["diagnose", "--config", str(_config_file(tmp_path))]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  statistic identity on 5 draws  worst relative gap nan" in out
+        assert "PASS  factored statistic on 5 draws" in out
+
+
 def _simulated(tmp_path, theta) -> dict:
     out = tmp_path / "summary.json"
     f = _config_file(tmp_path, theta=theta, out=str(out))

@@ -161,7 +161,7 @@ def test_class_build_matches_dense_build(layout, data):
     h_scale = np.max(np.abs(np.diag(pi_h)))
 
     assert close(proj.d, d)
-    assert close(proj.factors.e, e, h_scale)
+    assert close(proj.e, e, h_scale)
     assert abs(proj.balancing_residual - rel) <= 1e-10
     assert close(proj.pi_a, pi_a) and close(proj.pi_h, pi_h)
     assert close(proj.omega, omega)
