@@ -390,9 +390,9 @@ class OmegaFactors:
                    terms=tuple((F, MF + MF.T - F @ MF) for F, MF in zip(folds, MFs)))
 
     def trace(self, S, sq) -> np.ndarray:
-        """T of each matrix Y of a stack, from its (B, J K, K) products
-        S = (lift Y)(U'Y)' and the N x B squared norms sq of its rows
-        centred on U."""
+        """T of each matrix Y of a stack of B, from the (B, J K, K)
+        products S = (lift Y)(U'Y)', J = 1 + len(terms), and the N x B
+        squared norms sq of its rows centred on U."""
         K = self.u.shape[1]
         VV = S[:, :K]
         t = np.einsum("bij,ij->b", self.wu @ VV, self.wu) - self.de @ sq

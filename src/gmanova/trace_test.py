@@ -4,15 +4,15 @@ statistic_t evaluates T = tr(P X' Omega X P') on the compressed N x r
 matrix Y = X P' through Omega's factors (Omega = W'W - C diag(d) C -
 diag(e), C = I - QQ'): T = ||W Y||^2 - sum_i d_i ||(C Y)_i||^2 -
 sum_i e_i ||y_i||^2, read from one centring of Y on the groups' basis
-(design.OmegaFactors.centre, the pass the variance estimate reads too),
-so no N x N matrix is read; it also takes the dense N x N Omega, the
-reference form; Grams are read through them by estimators.gram_stack.
-The variance, the diagnostics and the exact variance decomposition read
-Omega between row classes only (ClassWeights, with its cached omega o
-omega block sums, class sizes and groups), the mean through mean_rows and
-every compressed covariance through _compressed_covariance.  run_test
-wires the full pipeline (projections,
-per-group scatter, variance estimate, decision) for a single dataset,
+(design.OmegaFactors.centre, the pass the variance estimate reads too;
+estimators.gram_stack reads Grams through the same factors), so no
+N x N matrix is read; it also takes the dense N x N Omega, the reference
+form.  The variance, the diagnostics and the exact variance decomposition
+read Omega between row classes only (ClassWeights, with its cached
+omega o omega block sums, class sizes and groups), the mean through
+mean_rows and every compressed covariance through _compressed_covariance.
+run_test wires the full pipeline (projections, per-group scatter,
+variance estimate, decision) for a single dataset,
 while TraceTestEngine precomputes every design-dependent quantity so
 Monte Carlo drivers pay only the data-dependent cost per replication.
 The module also provides the population functionals (the hypothesis
