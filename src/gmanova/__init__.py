@@ -50,7 +50,6 @@ from .simulate import (
     calibrate_signal_ray,
     canonical_direction,
     monte_carlo,
-    sample_errors,
 )
 from .trace_test import (
     DiagnosticsReport,
@@ -84,6 +83,5 @@ __all__ = [
     "Scenario", "one_way_manova", "two_way_manova", "profile_parallelism",
     "growth_curve",
     "ErrorDistribution", "CovarianceSpec", "SimulationSummary",
-    "sample_errors", "monte_carlo", "canonical_direction",
-    "calibrate_signal_ray",
+    "monte_carlo", "canonical_direction", "calibrate_signal_ray",
 ]

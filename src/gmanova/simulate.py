@@ -5,28 +5,33 @@ component and satisfy the vanishing-odd-mixed-fourth-moment requirement,
 either through ellipticity or through independent standardized components.
 Replication j of a run draws from an independent counter-based substream
 keyed by (seed, j); each worker thread keeps one generator and re-keys it
-per replication, which draws the same bits.  Errors are coloured in one of
-two ways, chosen once per call (_colouring).  When every group's law is
-spherical (gaussian or elliptical_t), the compressor is square, and the
-covariances share one eigenbasis V (one full covariance, every other one
-exactly c I), each group's standard rows are drawn in V: their columns are
-scaled by the square roots of the eigenvalues, one O(n_i p) pass, and the
-data matrix of replication j is defined as (Z Lambda^(1/2)) V' + A theta B'.
-Such a run's summary differs from that of the root route at the same
-seed, equal in law.  Other runs multiply each group's standard rows by
-the covariance's symmetric root, or scale the columns of a diagonal one.
-Replications run in fixed chunks of B, each drawn into one reused buffer
-and holding the errors only: their compressed errors are written into a
-(B, N, r) stack when r <= N, and the N x N Grams of those into a
-(B, N, N) stack when r > N, one call of TraceTestEngine.statistics
-evaluates the stack, and the mean shifts each T exactly, read through its
-Omega-weighted class rows (trace_test.mean_rows).  B is the largest count
-whose stack fits BATCH_BYTES (at least 1, at most MAX_BATCH), so it
-depends on the design's shape alone, and each replication's T and sigma0
-are within 1e-12 (relative to the terms they sum) of the one-matrix
-statistic.  numpy's OpenBLAS runs on one thread while a run lasts, so
-serial and thread-parallel executions produce bitwise-identical
-summaries.
+per replication, which draws the same bits.
+
+A call's draw plan (_plan) picks its route "<colouring>/<slot>" once.
+The colouring is "eigenbasis" when every group's law is spherical
+(gaussian or elliptical_t), the compressor is square and the covariances
+share one eigenbasis V (one full covariance, every other one exactly
+c I): standard rows Z are drawn in V with their columns scaled by the
+square roots of the eigenvalues Lambda, one O(n_i p) pass, and the data
+matrix of replication j is defined as (Z Lambda^(1/2)) V' + A theta B',
+equal in law to, but not bitwise, the "root" colouring, which multiplies
+each group's standard rows by the covariance's symmetric root or scales
+them by the square roots of a diagonal one.  The slot, what
+TraceTestEngine.statistics reads, is "rows" drawn in place (square
+compressor, r <= N), "compressed" rows E P' (r <= N < p) or "gram", the
+N x N Gram of those (r > N).  The benchmark workloads take
+eigenbasis/rows (N = 1000, p = 300, B = 1), eigenbasis/gram (N = 100,
+p = 600, B = 3) and root/compressed (N = 1200, p = 60, r = 3, B = 9).
+
+Each worker thread fills one reused stack of B slots, holding the errors
+only, and one statistics call evaluates it; the mean shifts each T
+exactly, read through its Omega-weighted class rows (trace_test.mean_rows)
+in the slot's basis.  B is the largest count whose stack fits
+BATCH_BYTES (at least 1, at most MAX_BATCH), so it depends on the
+design's shape alone, and each replication's T and sigma0 are within
+1e-12 (relative to the terms they sum) of the one-matrix statistic.
+numpy's OpenBLAS runs on one thread while a run lasts, so serial and
+thread-parallel executions produce bitwise-identical summaries.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import logging
 import os
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -49,6 +55,7 @@ from .errors import ConfigError
 from .trace_test import (
     MeanModel,
     TraceTestEngine,
+    _check_covariances,
     _decide,
     asymptotic_power,
     mean_rows,
@@ -130,17 +137,6 @@ class ErrorDistribution:
         """Whether the law of a row is invariant under orthogonal maps."""
         return self.kind in ("gaussian", "elliptical_t")
 
-    @property
-    def fourth_moment_bound(self) -> float:
-        """max_i E[z_i^4] for a single standardized component."""
-        if self.kind == "gaussian":
-            return 3.0
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "standardized_gamma":
-            return 3.0 + 6.0 / self.shape
-        return 3.0 * (self.df - 2.0) / (self.df - 4.0)
-
     def sample(self, rng: np.random.Generator, n: int, p: int,
                out: np.ndarray | None = None) -> np.ndarray:
         """n i.i.d. rows of the standardized p-variate distribution, written
@@ -163,11 +159,6 @@ class ErrorDistribution:
             if self.kind == "elliptical_t":
                 out *= np.sqrt((self.df - 2.0) / rng.chisquare(self.df, size=n))[:, None]
         return out
-
-
-def sample_errors(dist: ErrorDistribution, n: int, p: int, seed: int) -> np.ndarray:
-    """Draw an n x p matrix of standardized error rows from a fresh stream."""
-    return dist.sample(_substream(seed, 0), int(n), int(p))
 
 
 @dataclass(frozen=True)
@@ -208,9 +199,17 @@ class CovarianceSpec:
         return self.scale * S
 
     def checked_matrix(self, p: int) -> np.ndarray:
-        """The matrix at dimension p once its covariance cache entry finds it
-        positive definite, forming no root; ConfigError otherwise."""
+        """The matrix at dimension p once the sum of its squared entries,
+        the scale of the variance of T, is a finite normal float and its
+        covariance cache entry finds it positive definite, forming no root;
+        ConfigError otherwise."""
         S = self.matrix(p)
+        with np.errstate(over="ignore"):
+            squares = float(np.sum(S * S))
+        if not np.finfo(float).tiny <= squares < np.inf:
+            raise ConfigError(f"{self.kind} covariance with scale {self.scale:g} is out of "
+                              f"range at p={p}: the sum of its squared entries "
+                              f"{'overflows' if squares > 1.0 else 'underflows'}")
         try:
             lookup([S])[0][0].spectrum(S)
         except ValueError as exc:
@@ -240,52 +239,50 @@ class SimulationSummary:
     seed: int
 
 
-def _colouring(design: DesignSpec, dists, entries, sigmas):
-    """(V, factors): the basis V in which a run's errors are drawn, or
-    None, and each group's colouring factor (root, scale) from its
-    covariance cache entry.
+@dataclass(frozen=True)
+class _Plan:
+    """How one call draws its replications (see _plan)."""
 
-    V is the eigenbasis of the one full covariance when every group's law
-    is spherical, the compressor is square, every non-scalar covariance is
-    that one cache entry, and every other covariance is exactly c I.  Then
-    each group's standard rows Z_i have their columns scaled by the square
-    roots of the covariance's eigenvalues Lambda_i in V: Z_i V has the law
-    of Z_i, so (Z_i Lambda_i^(1/2)) V' has the law of the coloured rows,
-    and every trace of the test is invariant under X -> X V.  Otherwise V
-    is None and each factor is the entry's colouring.  Raises ValueError
-    when a covariance is not positive definite."""
-    spectra = [entry.spectrum(S) for entry, S in zip(entries, sigmas)]
-    full = {id(entry): V for entry, (_, V) in zip(entries, spectra) if V is not None}
-    if (len(full) == 1 and design.r == design.p and all(d.spherical for d in dists)
-            and all(V is not None or np.all(w == w[0]) for w, V in spectra)):
-        return next(iter(full.values())), [
-            entry.colouring(S) if basis is None else (None, np.sqrt(w))
-            for entry, S, (w, basis) in zip(entries, sigmas, spectra)]
-    return None, [entry.colouring(S) for entry, S in zip(entries, sigmas)]
+    route: str
+    stack: Callable[[int], np.ndarray]
+    fill: Callable[[int, int, np.ndarray], np.ndarray]
+    weighted: np.ndarray | None
+    offset: float
+    errors: Callable[[int, int], np.ndarray]
 
 
-def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
-    """(errors, V): errors(seed, j, out) writes the N x p error rows of
-    replication j into out (a C-contiguous N x p float array), drawn from
-    the substream (seed, j) with one error distribution per group and the
-    model's covariances, in the basis V of _colouring, so the errors of
-    replication j are errors(seed, j) @ V' when V is not None.  Each
-    group's rows are drawn and scaled in place, except that a full root
-    needs the standard rows apart.  The cache entries of model.sigmas are
-    looked up when omitted.  Each thread that calls errors keeps one
-    generator, re-keyed per replication (_rekeyed)."""
-    if entries is None:
-        entries = lookup(model.sigmas)[0]
-    V, factors = _colouring(design, dists, entries, model.sigmas)
+def _plan(design: DesignSpec, model: MeanModel, dists, entries=None) -> _Plan:
+    """The draw plan of a run (see the module docstring for its route),
+    one error distribution per group in dists; entries are the cache
+    entries of model.sigmas (looked up when omitted).  The mean and the
+    covariances are checked as sigma_full checks them.
+
+    stack(B) is the calling thread's chunk stack of B slots, made with its
+    scratch buffers on the thread's first call; fill(seed, j, slot) then
+    writes replication j's errors into a slot and returns their compressed
+    rows Y.  T of the data is T of the errors plus 2 <weighted, Y> +
+    offset: the Omega-weighted rows of the compressed mean M in Y's basis
+    and tr(M' Omega M), None and 0 for a zero mean.  errors(seed, j)
+    returns the N x p errors of replication j."""
+    rows = mean_rows(model.theta, design)
+    entries = _check_covariances(model, design, entries)
+    N, p, r = design.N, design.p, design.r
+    spectra = [entry.spectrum(S) for entry, S in zip(entries, model.sigmas)]
+    bases = {id(e): basis for e, (_, basis) in zip(entries, spectra) if basis is not None}
+    eigenbasis = (len(bases) == 1 and r == p and all(d.spherical for d in dists)
+                  and all(basis is not None or np.all(w == w[0]) for w, basis in spectra))
+    V = next(iter(bases.values())) if eigenbasis else None
+    factors = [(None, np.sqrt(w)) if eigenbasis and basis is not None else entry.colouring(S)
+               for entry, S, (w, basis) in zip(entries, model.sigmas, spectra)]
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
-    p = design.p
+    PT = None if r == p else np.ascontiguousarray(design.projections.compressor.T)
     local = threading.local()
 
-    def errors(seed: int, j: int, out: np.ndarray) -> np.ndarray:
+    def draw(seed: int, j: int, out: np.ndarray) -> np.ndarray:
         rng = _rekeyed(local, seed, j)
         for sl, n, dist, root, scale in groups:
-            if root is not None:
+            if root is not None:  # a full root needs the standard rows apart
                 np.matmul(dist.sample(rng, n, p), root, out=out[sl])
             else:
                 block = dist.sample(rng, n, p, out=out[sl])
@@ -293,21 +290,48 @@ def _error_sampler(design: DesignSpec, model: MeanModel, dists, entries=None):
                     block *= scale
         return out
 
-    return errors, V
+    def stack(B: int) -> np.ndarray:
+        if not hasattr(local, "stack"):  # this thread's stack and scratch buffers
+            local.X = None if PT is None else np.empty((N, p))
+            if r > N:
+                local.Y, local.stack = np.empty((N, r)), np.empty((B, N, N))
+            elif PT is None:
+                local.stack = np.empty((B, N, p))
+            else:  # laid out over N first, as statistics reads compressed rows
+                local.stack = np.empty((N, B, r)).swapaxes(0, 1)
+        return local.stack
+
+    def compressed(seed: int, j: int, out: np.ndarray) -> np.ndarray:
+        if PT is None:  # a square compressor is skipped: drawn in place
+            return draw(seed, j, out)
+        return np.matmul(draw(seed, j, local.X), PT, out=out)
+
+    def gram(seed: int, j: int, slot: np.ndarray) -> np.ndarray:
+        Y = compressed(seed, j, local.Y)
+        np.matmul(Y, Y.T, out=slot)  # one syrk
+        return Y
+
+    def errors(seed: int, j: int) -> np.ndarray:
+        E = draw(seed, j, np.empty((N, p)))
+        return E if V is None else E @ V.T
+
+    weighted, offset = None, 0.0
+    if rows is not None:
+        M, WM = rows
+        classes = design.projections.weights.classes
+        weighted = (WM if V is None else WM @ V)[classes.index]
+        offset = float(classes.sizes @ np.einsum("ij,ij->i", WM, M))
+    slot = "gram" if r > N else "rows" if PT is None else "compressed"
+    return _Plan(f"{'eigenbasis' if eigenbasis else 'root'}/{slot}", stack,
+                 gram if r > N else compressed, weighted, offset, errors)
 
 
 def replication_sampler(design: DesignSpec, model: MeanModel, dists):
     """draw(seed, j): the N x p data matrix of replication j of a run keyed
-    by seed, the errors of _error_sampler (times V' when they are drawn in
-    the basis V) plus the model's mean A theta B'."""
-    errors, V = _error_sampler(design, model, dists)
+    by seed, the errors of its draw plan plus the model's mean A theta B'."""
+    errors = _plan(design, model, dists).errors
     mean = design.A @ model.theta @ design.B.T
-
-    def draw(seed: int, j: int) -> np.ndarray:
-        E = errors(seed, j, np.empty((design.N, design.p)))
-        return (E if V is None else E @ V.T) + mean
-
-    return draw
+    return lambda seed, j: errors(seed, j) + mean
 
 
 def usable_cpus() -> int:
@@ -350,21 +374,12 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     run the prepared test, and aggregate.
 
     distributions is one ErrorDistribution per group (a single one is
-    broadcast).  Replications run in chunks of batch_size(design), and one
-    TraceTestEngine.statistics call evaluates each chunk.  The errors of
-    each replication are drawn into a reused buffer, in the shared
-    eigenbasis V when _colouring finds one, and compressed (a square
-    compressor is skipped).  When r <= N the compressed errors go
-    into the chunk's (B, N, r) stack, which statistics centres in one
-    pass.  When r > N one syrk writes their N x N Gram E E' into a
-    (B, N, N) stack, which statistics reads at N x N size.  A chunk holds
-    the errors only: the mean, which lies in the range of A, leaves the
-    variance unchanged and shifts T exactly by
-    2 <Omega M, E> + tr(M' Omega M) for the compressed mean M, with
-    Omega M read once per call from mean_rows (as Omega M V when the errors
-    E are drawn in V), so a large mean costs no digits of sigma0.  Each
-    replication's T and sigma0 are within 1e-12 (relative to the terms
-    they sum) of the one-matrix statistic.
+    broadcast).  The call's draw plan (_plan) fills chunks of
+    batch_size(design) replications, and one TraceTestEngine.statistics
+    call evaluates each chunk.  A chunk holds the errors only: the mean,
+    which lies in the range of A, leaves the variance unchanged and shifts
+    T exactly by 2 <Omega M, E> + tr(M' Omega M) for the compressed mean
+    M, so a large mean costs no digits of sigma0.
 
     threads caps the worker threads, each running whole chunks: the call
     starts min(threads, chunks, usable_cpus()) of them.  B depends on the
@@ -374,7 +389,7 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     restored when the call returns or raises.  The per-covariance set-up
     is read from the covariance cache, and one INFO record on the
     "gmanova.simulate" logger gives the call's timings, the requested and
-    used thread counts, and B.
+    used thread counts, B and the plan's route.
     """
     start = time.perf_counter()
     if not isinstance(design, DesignSpec):
@@ -394,57 +409,28 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
     z_vals = np.empty(reps)
     rejects = np.zeros(reps, dtype=bool)
     degenerate = np.zeros(reps, dtype=bool)
-    N, p, r = design.N, design.p, design.r
 
     with one_blas_thread():
         entries, hits, misses = lookup(model.sigmas)
         engine = TraceTestEngine(design, alpha)
-        rows = mean_rows(model.theta, design)
+        plan = _plan(design, model, dists, entries)
         q = true_q(model.theta, design)
         sigma2, sigma0_sq = sigma_full(model, design, entries=entries)
         predicted = asymptotic_power(q, sigma2, sigma0_sq, alpha)
-        errors, V = _error_sampler(design, model, dists, entries)
-        P = engine.projections.compressor
-        square = P.shape[0] == P.shape[1]
-        PT = None if square else np.ascontiguousarray(P.T)
-        gram = r > N
-        weighted = offset = None
-        if rows is not None:  # T's exact shift: 2 <Omega M, E> + tr(M' Omega M)
-            M, WM = rows
-            classes = engine.projections.weights.classes
-            weighted = (WM if V is None else WM @ V)[classes.index]
-            offset = float(classes.sizes @ np.einsum("ij,ij->i", WM, M))
         batch = batch_size(design)
-        buffers = threading.local()
         ready = time.perf_counter()
 
         def run_chunk(first: int) -> None:
-            if not hasattr(buffers, "stack"):
-                buffers.X = None if square and not gram else np.empty((N, p))
-                if gram:  # errors drawn into X, compressed into Y, their Gram stacked
-                    buffers.stack = np.empty((batch, N, N))
-                    buffers.Y = None if square else np.empty((N, r))
-                elif square:  # drawn in place: each matrix contiguous
-                    buffers.stack = np.empty((batch, N, p))
-                else:  # compressed rows laid out over N first, as statistics reads them
-                    buffers.stack = np.empty((N, batch, r)).swapaxes(0, 1)
             stop = min(first + batch, reps)
-            stack = buffers.stack[:stop - first]
-            shift = None if weighted is None else np.empty(stop - first)
+            stack = plan.stack(batch)[:stop - first]
+            shift = None if plan.weighted is None else np.empty(stop - first)
             for k, j in enumerate(range(first, stop)):
-                if square and not gram:
-                    Y = errors(seed, j, stack[k])
-                else:
-                    Y = errors(seed, j, buffers.X)
-                    if not square:
-                        Y = np.matmul(Y, PT, out=buffers.Y if gram else stack[k])
-                    if gram:
-                        np.matmul(Y, Y.T, out=stack[k])  # one syrk
+                Y = plan.fill(seed, j, stack[k])
                 if shift is not None:  # einsum reads a strided Y without a copy
-                    shift[k] = np.einsum("ij,ij->", weighted, Y)
+                    shift[k] = np.einsum("ij,ij->", plan.weighted, Y)
             t, _, _, s0 = engine.statistics(stack)
             if shift is not None:
-                t += 2.0 * shift + offset
+                t += 2.0 * shift + plan.offset
             z, _, reject, degen = _decide(t, s0, engine.alpha)
             z_vals[first:stop], rejects[first:stop], degenerate[first:stop] = z, reject, degen
 
@@ -459,9 +445,9 @@ def monte_carlo(design: DesignSpec, model: MeanModel, distributions, alpha: floa
 
     rep_s = time.perf_counter() - ready
     _log.info("monte_carlo: set-up %.4f s, covariance cache %d hits %d misses; "
-              "%d replications in %.4f s, %.1f reps/s, threads=%d requested, %d used, B=%d",
-              ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads, workers,
-              batch)
+              "%d replications in %.4f s, %.1f reps/s, threads=%d requested, %d used, B=%d, "
+              "route=%s", ready - start, hits, misses, reps, rep_s, reps / rep_s, n_threads,
+              workers, batch, plan.route)
     rate = float(np.mean(rejects))
     return SimulationSummary(
         replications=reps,

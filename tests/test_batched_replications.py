@@ -361,6 +361,30 @@ def test_batch_size_is_logged(caplog):
     assert "B=9" in caplog.records[-1].getMessage()
 
 
+@pytest.mark.parametrize("design, second, dist, logged", [
+    (one_way_manova((150, 250, 300, 300), 300).design,
+     CovarianceSpec(kind="ar1", rho=0.5), ErrorDistribution.gaussian(),
+     "B=1, route=eigenbasis/rows"),
+    (one_way_manova((40, 60), 600).design,
+     CovarianceSpec(kind="ar1", rho=0.5, scale=3.0), ErrorDistribution.elliptical_t(8.0),
+     "B=3, route=eigenbasis/gram"),
+    (growth_curve((300,) * 4, 60, 2).design,
+     CovarianceSpec(kind="diagonal_ramp", lo=0.5, hi=2.0),
+     ErrorDistribution.standardized_gamma(1.0), "B=9, route=root/compressed"),
+], ids=["cli-test-n1000", "mc-wide-p", "mc-growth-n1200"])
+def test_the_benchmark_routes_are_logged(caplog, design, second, dist, logged):
+    """The benchmark's three Monte Carlo shapes, laws and covariances (the
+    identity beside a second one, by turns) log their chunk size and the
+    draw plan's route: rows drawn in place in the eigenbasis, error Grams
+    in the eigenbasis, and rows compressed after a diagonal scale."""
+    sigmas = tuple(np.eye(design.p) if i % 2 == 0 else second.matrix(design.p)
+                   for i in range(design.g))
+    model = MeanModel(np.zeros((design.k, design.q)), sigmas)
+    with caplog.at_level(logging.INFO, logger="gmanova.simulate"):
+        monte_carlo(design, model, dist, reps=100, seed=1, threads=1)
+    assert caplog.records[-1].getMessage().endswith(logged)
+
+
 def test_peak_memory_does_not_grow_with_replications():
     """On a growth design, the traced peak of 1000 replications is within
     5% of that of 100: nothing per replication is kept beyond the z values,

@@ -1,11 +1,12 @@
-"""Which route colours a run's errors, and that the eigenbasis route keeps
-the law of the statistic.
+"""Which colouring a run's draw plan takes, and that the eigenbasis route
+keeps the law of the statistic.
 
 Under a Gaussian or elliptical law, a square compressor and covariances
 that share one eigenbasis V (one full covariance, every other one c I),
-each group's standard rows are drawn in V and their columns scaled by the
-square roots of the eigenvalues.  Every other run draws bitwise what it
-drew before that route existed: each group's standard rows times the
+the plan's route is eigenbasis/...: each group's standard rows are drawn
+in V and their columns scaled by the square roots of the eigenvalues.
+Every other run takes the root route and draws bitwise what it drew
+before the eigenbasis route existed: each group's standard rows times the
 covariance's symmetric root, or scaled by the square root of a diagonal
 one.
 """
@@ -24,7 +25,7 @@ from gmanova import (
     monte_carlo,
     one_way_manova,
 )
-from gmanova.simulate import _error_sampler, _substream
+from gmanova.simulate import _plan, _substream
 
 P = 12
 AR1 = CovarianceSpec(kind="ar1", rho=0.5).matrix(P)
@@ -34,10 +35,14 @@ GAUSSIAN = ErrorDistribution.gaussian()
 
 
 def _draw(design, sigmas, dist, seed=7, j=3):
-    """(V, errors(seed, j)) of the run's error sampler."""
+    """(plan, E): the run's draw plan and the errors of replication j as
+    drawn: on the eigenbasis route, in V, as fill returns them (the
+    compressor is square), and else as the plan's errors reader does."""
     model = MeanModel(np.zeros((design.k, design.q)), sigmas)
-    errors, V = _error_sampler(design, model, [dist] * design.g)
-    return V, errors(seed, j, np.empty((design.N, design.p)))
+    plan = _plan(design, model, [dist] * design.g)
+    if plan.route.startswith("eigenbasis/"):
+        return plan, plan.fill(seed, j, plan.stack(1)[0])
+    return plan, plan.errors(seed, j)
 
 
 def _standard_rows(design, dist, seed=7, j=3):
@@ -64,8 +69,8 @@ def test_other_runs_draw_what_they_drew_before(case):
     """errors(seed, j) is each group's standard rows times the covariance's
     symmetric root, or times the square roots of a diagonal one."""
     design, sigmas, dist = NOT_ELIGIBLE[case]
-    V, E = _draw(design, sigmas, dist)
-    assert V is None
+    plan, E = _draw(design, sigmas, dist)
+    assert plan.route.startswith("root/")
     for i, Z in enumerate(_standard_rows(design, dist)):
         entry = covariance.lookup([sigmas[i]])[0][0]
         root, scale = entry.colouring(sigmas[i])
@@ -81,9 +86,10 @@ def test_a_shared_eigenbasis_scales_columns(dist):
     columns scaled by the square roots of its eigenvalues, or of 2."""
     design = one_way_manova((5, 6, 4), P).design
     sigmas = (AR1, 2.0 * np.eye(P), AR1.copy())
-    V, E = _draw(design, sigmas, dist)
+    plan, E = _draw(design, sigmas, dist)
     w, basis = covariance.lookup([AR1])[0][0].spectrum(AR1)
-    assert V is basis
+    assert plan.route == "eigenbasis/rows"
+    assert np.array_equal(plan.errors(7, 3), E @ basis.T)  # the data's errors are E V'
     scales = (np.sqrt(w), np.sqrt(2.0), np.sqrt(w))
     for i, Z in enumerate(_standard_rows(design, dist)):
         assert np.array_equal(E[design.group_slice(i)], Z * scales[i])
@@ -93,8 +99,8 @@ def test_scalar_covariances_keep_their_stream():
     """With no full covariance there is no basis to share: the identity is
     not scaled and c I is scaled by sqrt(c), as before."""
     design = one_way_manova((5, 6), P).design
-    V, E = _draw(design, (np.eye(P), 3.0 * np.eye(P)), GAUSSIAN)
-    assert V is None
+    plan, E = _draw(design, (np.eye(P), 3.0 * np.eye(P)), GAUSSIAN)
+    assert plan.route == "root/gram"
     Z0, Z1 = _standard_rows(design, GAUSSIAN)
     assert np.array_equal(E, np.vstack([Z0, Z1 * np.sqrt(3.0)]))
 
@@ -128,7 +134,7 @@ def test_eigenbasis_z_has_the_law_of_coloured_z(monkeypatch):
     sigmas = (CovarianceSpec(kind="ar1", rho=0.5).matrix(p), 2.0 * np.eye(p))
     dist = ErrorDistribution.elliptical_t(8.0)
     model = MeanModel(np.zeros((design.k, design.q)), sigmas)
-    assert _error_sampler(design, model, [dist] * 2)[1] is not None
+    assert _plan(design, model, [dist] * 2).route == "eigenbasis/gram"
     z_route = _recorded_z(monkeypatch, lambda: monte_carlo(
         design, model, dist, reps=reps, seed=31, threads=1))
 

@@ -527,6 +527,23 @@ def test_non_finite_theta_names_its_key(tmp_path, capsys, theta, key):
     assert "annihilated" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale, flow", [(1e-320, "underflows"), (1e308, "overflows")])
+@pytest.mark.parametrize("verb", ["simulate", "diagnose"])
+def test_a_covariance_whose_squares_leave_the_float_range_exits_2(
+        tmp_path, capsys, recwarn, verb, scale, flow):
+    """The variance of T sums squared covariance entries: at scale 1e-320
+    they underflow (simulate raised on a zero sigma2) and at 1e308 they
+    overflow (simulate wrote NaNs, diagnose failed through NaN gaps).  Both
+    verbs exit 2 naming the covariance, before any warning."""
+    f = _config_file(tmp_path, covariances={"kind": "identity", "scale": scale})
+    assert main([verb, "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert (f"identity covariance with scale {scale:g} is out of range at p=3: "
+            f"the sum of its squared entries {flow}") in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDiagnoseGates:
     def test_a_group_without_an_a2_exits_as_simulate_does(self, tmp_path, capsys):
         """With N_i - k_i = 1 in every group the engine raises naming the
