@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,47 +64,51 @@ def load_dataset(path, header: bool = False) -> GroupedSample:
                          source_rows=np.array(source))
 
 
+class _Irregular(Exception):
+    """A line that csv.reader might not split at its commas."""
+
+
 def _parse_regular(path: Path, header: bool):
     """(labels, X) in file order, or None unless the file is regular: UTF-8
     with no quote, NUL (csv rejects it before Python 3.11) or lone carriage
     return, and every field shorter than csv's field size limit.  csv.reader
     then splits records at newlines and cells at commas, so the rows and
-    labels here are those _parse_by_cells reads.  The cells after each label
-    go through one np.loadtxt call, which gives float()'s value for every
-    cell it accepts and rejects the rest (underscores, non-ASCII digits,
-    empty cells, a row whose width differs from the first); a data row
-    with no response cell also sends the file to _parse_by_cells."""
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except (OSError, UnicodeDecodeError):
-        return None
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    lines = text.split("\n")
-    del text
+    labels here are those _parse_by_cells reads.  The file is streamed: its
+    lines are checked one at a time as one np.loadtxt call reads the cells
+    after each label, so no copy of the text is held.  loadtxt gives
+    float()'s value for every cell it accepts and rejects the rest
+    (underscores, non-ASCII digits, empty cells, a row whose width differs
+    from the first); a data row with no response cell also sends the file
+    to _parse_by_cells."""
     limit = csv.field_size_limit()
-    if any(len(cell) >= limit for line in lines if len(line) >= limit
-           for cell in line.split(",")):
-        return None
-    labels, rows = [], []
-    for line in lines[1:] if header else lines:
-        if line.strip():
-            label, _, values = line.partition(",")
-            if not values:  # loadtxt would skip the row
-                return None
-            labels.append(label.strip())
-            rows.append(values)
-    if not rows:
-        return None
+    labels: list[str] = []
+
+    def rows(fh):
+        for number, raw in enumerate(fh):
+            raw = raw[:-2] if raw.endswith(b"\r\n") else raw.rstrip(b"\n")
+            if b'"' in raw or b"\0" in raw or b"\r" in raw:
+                raise _Irregular
+            line = raw.decode("utf-8")
+            if len(line) >= limit and any(len(cell) >= limit for cell in line.split(",")):
+                raise _Irregular
+            if (number or not header) and line.strip():
+                label, _, values = line.partition(",")
+                if not values:  # loadtxt would skip the row
+                    raise _Irregular
+                labels.append(label.strip())
+                yield values
+
     try:
-        return labels, np.loadtxt(rows, delimiter=",", comments=None,
-                                  quotechar=None, ndmin=2)
-    except ValueError:
+        with path.open("rb") as fh:
+            lines = rows(fh)
+            first = next(lines, None)
+            if first is None:
+                return None
+            X = np.loadtxt(chain([first], lines), delimiter=",", comments=None,
+                           quotechar=None, ndmin=2)
+    except (OSError, ValueError, _Irregular):  # UnicodeDecodeError is a ValueError
         return None
+    return labels, X
 
 
 def _parse_by_cells(path: Path, header: bool):

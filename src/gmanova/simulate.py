@@ -487,7 +487,11 @@ def calibrate_signal_ray(design: DesignSpec, direction, sigmas,
     if not q0 > 0.0:
         raise ConfigError("signal direction is annihilated by (L, R); "
                           "it cannot generate power")
-    sigma2_0, sigma0_sq = sigma_full(MeanModel(direction, tuple(sigmas)), design)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2_0, sigma0_sq = sigma_full(MeanModel(direction, tuple(sigmas)), design)
+    if not (np.isfinite(sigma2_0) and np.isfinite(sigma0_sq)):
+        raise ConfigError("the signal ray cannot be calibrated: the variance of T "
+                          "under these covariances overflows")
     v0 = max(sigma2_0 - sigma0_sq, 0.0)
     try:
         c2 = (snr ** 2 * v0 + sqrt(snr ** 4 * v0 ** 2

@@ -24,6 +24,7 @@ normal approximation relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
 from math import sqrt
 
@@ -361,6 +362,11 @@ def assumption_diagnostics(psis, omega, *,
     mean-concentration ratio, m_rows with one row per row class; it is
     exactly 0 when they are omitted (plug-in mode, or a model without a
     mean) or all within 1e-10 of m_scale, the largest mean entry.
+
+    a2_ratio reads one syrk Psi' Psi per group in an active pair, and
+    multiplies two psis only for a tuple whose Cauchy-Schwarz bound beats
+    the largest tr(Psi_a^4) on an active diagonal block, so no stack of
+    pair products is formed.
     """
     w, n, group = omega.omega, omega.classes.sizes.astype(float), omega.classes.group
     sizes = np.bincount(group, weights=n)
@@ -379,28 +385,32 @@ def assumption_diagnostics(psis, omega, *,
     psis = [np.asarray(Psi, dtype=float) for Psi in psis]
     if len(psis) != g:
         raise ValueError(f"{len(psis)} compressed covariances for {g} groups")
-    # One row of V per active pair: the product Psi_a Psi_b, flattened.  For
-    # symmetric psis tr(Psi_a Psi_b Psi_c Psi_d) = <Psi_a Psi_b, Psi_d Psi_c>,
-    # so the Gram matrix V V' holds every fourth-order trace.
-    # Psi_b Psi_a = (Psi_a Psi_b)', so only the pairs a <= b are multiplied;
-    # active is symmetric, and (b, a) follows (a, b) in row order.
-    pairs = [(i, j) for i in range(g) for j in range(g) if active[i, j]]
-    row = {pair: k for k, pair in enumerate(pairs)}
-    r = psis[0].shape[0]
-    V = np.empty((len(pairs), r * r))
+    # For symmetric psis, Cauchy-Schwarz twice gives |tr(Psi_a Psi_b Psi_c
+    # Psi_d)| = |<Psi_a Psi_b, Psi_d Psi_c>| <= (q_a q_b q_c q_d)^(1/4), where
+    # q_a = ||Psi_a^2||_F^2 is the trace of the tuple (a, a, a, a).  Only a
+    # tuple holding a group whose own block is inactive can beat the largest
+    # active q_a; such tuples are evaluated, in order of their bounds.
+    q = np.zeros(g)
     b_sum = 0.0
-    for k, (i, j) in enumerate(pairs):
-        out = V[k].reshape(r, r)
-        if i <= j:
-            np.matmul(psis[i], psis[j], out=out)
-        else:
-            out[...] = V[row[j, i]].reshape(r, r).T
-        b_sum += float(np.trace(out))
-    M = V @ V.T
-    worst = 0.0
-    for a, b, c, d in product(range(g), repeat=4):
-        if all(active[x, y] for x, y in permutations((a, b, c, d), 2)):
-            worst = max(worst, float(M[row[a, b], row[d, c]]))
+    for i in np.flatnonzero(active.any(axis=1)):
+        square = psis[i].T @ psis[i]  # one syrk
+        q[i] = float(np.vdot(square, square))
+        del square
+        for j in range(i, g):
+            if active[i, j]:
+                b_sum += (1.0 if i == j else 2.0) * float(np.vdot(psis[i], psis[j]))
+    worst = float(np.max(q[np.diag(active)], initial=0.0))
+    root = np.sqrt(np.sqrt(q))
+    candidates = sorted(
+        ((float(root[a] * root[b] * root[c] * root[d]), (a, b, c, d))
+         for a, b, c, d in product(range(g), repeat=4)
+         if all(active[x, y] for x, y in permutations((a, b, c, d), 2))),
+        reverse=True)
+    pair_product = cache(lambda a, b: psis[a] @ psis[b])
+    for bound, (a, b, c, d) in candidates:
+        if bound <= worst * (1.0 + 1e-14):  # rounding of a bound it attains
+            break
+        worst = max(worst, float(np.vdot(pair_product(a, b), pair_product(d, c))))
     a2_ratio = worst / b_sum ** 2 if b_sum > 0.0 else float("inf")
 
     if m_rows is None:

@@ -11,6 +11,7 @@ returns, or raises its message, and warns of nothing.
 
 import csv
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +147,23 @@ def test_irregular_files_read_as_the_cell_parser_reads(tmp_path, text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_parse_regular", lambda path, header: None)
         assert got == _outcome(path, False)
+
+
+def test_a_regular_file_is_streamed(tmp_path):
+    """The one-pass parser holds no copy of the text: reading a 1000 x 300
+    file written with repr peaks at no more than 2.5 times the bytes of X
+    (the parsed rows and their regrouped copy)."""
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((1000, 300))
+    labels = rng.choice(["a", "b", "c"], size=1000).tolist()
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{lab}," + ",".join(map(repr, row)) + "\n"
+                            for lab, row in zip(labels, X.tolist())), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        sample = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.X.tobytes() == X[sample.source_rows].tobytes()
+    assert peak <= 2.5 * X.nbytes, peak / X.nbytes

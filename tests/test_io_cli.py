@@ -544,6 +544,20 @@ def test_a_covariance_whose_squares_leave_the_float_range_exits_2(
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("verb", ["simulate", "diagnose"])
+def test_a_signal_ray_whose_variance_overflows_exits_2(tmp_path, capsys, recwarn, verb):
+    """At scale 7e153 the covariance's squares fit in a float but the
+    variance of T does not: calibrating a signal ray on it exits 2 naming
+    that variance, not the mean, and warns of nothing."""
+    f = _config_file(tmp_path, covariances={"kind": "identity", "scale": 7e153},
+                     theta={"kind": "signal_ray", "snr": 1.0})
+    assert main([verb, "--config", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert "the variance of T under these covariances overflows" in captured.err
+    assert "theta.snr" not in captured.err and "Traceback" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDiagnoseGates:
     def test_a_group_without_an_a2_exits_as_simulate_does(self, tmp_path, capsys):
         """With N_i - k_i = 1 in every group the engine raises naming the
