@@ -3,21 +3,23 @@
 A power study runs the test many times on the same covariances, and each
 run needs the same O(p^3) facts about each of them: its spectrum, the
 positive-definiteness verdict of the gates, and the factor that colours
-standard draws.  They are cached here, keyed by the shape and the SHA-256
-of the C-contiguous float64 bytes, so an array edited in place is a new
-key and never reads a stale entry.  An entry keeps the eigenvalues w and
-eigenvectors V of its one eigh, and forms the symmetric root
-V diag(sqrt(w)) V' only when a caller reads it, so an entry whose root was
-read holds two p x p arrays.  It also keeps whether the matrix is exactly
-symmetric.  It computes each value on first need,
-from the matrix it was looked up with, at one BLAS thread so the bits do
-not depend on which caller came first; every array it returns is
-read-only.  The cache keeps the CACHE_SIZE most recently used entries.
+standard draws.  They are cached here.  An entry is keyed by the shape and
+the bytes of the diagonal, and a matrix with that key finds it only when
+its bytes equal the entry's own: a read-only copy for a full matrix,
+compared a few rows at a time so that no p x p temporary is made, and for
+a diagonal matrix (every off-diagonal entry zero) the diagonal alone.  So
+an array edited in place finds a new entry and never reads a stale one.
+An entry keeps the eigenvalues w and eigenvectors V of its one eigh, and
+forms the symmetric root V diag(sqrt(w)) V' only when a caller reads it.
+It also keeps whether the matrix is exactly symmetric.  It computes each
+value on first need, from the matrix it was looked up with, at one BLAS
+thread so the bits do not depend on which caller came first; every array
+it returns is read-only.  The cache keeps the CACHE_SIZE most recently
+used entries.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 
@@ -27,6 +29,7 @@ from .blas import one_blas_thread
 from .design import _read_only, positive_definite
 
 CACHE_SIZE = 64
+BLOCK_ENTRIES = 1 << 15  # entries of a matrix compared at a time
 
 _LOCK = threading.Lock()
 _CACHE: OrderedDict = OrderedDict()
@@ -42,17 +45,29 @@ class CovarianceEntry:
     first read of colouring.  Concurrent first calls may each run either
     step, and get bitwise-equal values."""
 
-    def __init__(self):
+    def __init__(self, S: np.ndarray, key: tuple):
+        self.key = key
+        diagonal = np.count_nonzero(S) == np.count_nonzero(np.diagonal(S))
+        self._copy = None if diagonal else _read_only(S.copy())
         self._factor = None
         self._root = None
         self._symmetric = None
+
+    def holds(self, S: np.ndarray) -> bool:
+        """Whether S, a float64 matrix with the entry's key, has its bytes."""
+        if self._copy is None:  # the key holds the diagonal
+            return np.count_nonzero(S) == np.count_nonzero(np.diagonal(S))
+        step = max(1, BLOCK_ENTRIES // max(1, S.shape[1]))
+        return all(np.array_equal(np.ascontiguousarray(S[i:i + step]).view(np.uint64),
+                                  self._copy[i:i + step].view(np.uint64))
+                   for i in range(0, S.shape[0], step))
 
     def _factorize(self, S: np.ndarray):
         """(w, V, verdict): the spectrum (see spectrum) and the
         positive-definiteness verdict, computed on the first call."""
         if self._factor is None:
             w, V = np.diag(S).copy(), None
-            if not np.array_equal(S, np.diag(w)):
+            if self._copy is not None:
                 with one_blas_thread():
                     w, V = np.linalg.eigh((S + S.T) / 2.0)
                 V = _read_only(V)
@@ -97,20 +112,22 @@ class CovarianceEntry:
 def lookup(sigmas):
     """(entries, hits, misses): the cache entry of each covariance, and how
     many distinct arrays were found in the cache or added to it.  Each
-    distinct array is hashed once."""
+    distinct array is compared once."""
     by_id, entries, hits = {}, [], 0
     for S in sigmas:
         if id(S) not in by_id:
-            M = np.ascontiguousarray(S, dtype=np.float64)
-            key = (M.shape, hashlib.sha256(M).digest())
+            M = np.asarray(S, dtype=np.float64)
+            key = (M.shape, np.diagonal(M).tobytes())
             with _LOCK:
-                entry = _CACHE.get(key)
+                entry = next((e for e in _CACHE.values() if e.key == key and e.holds(M)),
+                             None)
                 if entry is None:
-                    entry = _CACHE[key] = CovarianceEntry()
+                    entry = CovarianceEntry(M, key)
+                    _CACHE[id(entry)] = entry
                     if len(_CACHE) > CACHE_SIZE:
                         _CACHE.popitem(last=False)
                 else:
-                    _CACHE.move_to_end(key)
+                    _CACHE.move_to_end(id(entry))
                     hits += 1
             by_id[id(S)] = entry
         entries.append(by_id[id(S)])

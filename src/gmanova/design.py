@@ -2,9 +2,15 @@
 
 Everything in this module is a deterministic function of the known design:
 the between-group matrix A, the within-observation matrix B, and the
-hypothesis pair (L, R).  The products are the hat projection of A, the
-hypothesis projection, the row compressor mapping observations into the
-hypothesis-relevant within-space, the balancing weights that cancel the
+hypothesis pair (L, R).  B and R are dense matrices or Structured ones: an
+identity, or first differences for profile parallelism.  The package reads
+a Structured response side by its structure, so the test forms no p x p
+array from it; DesignSpec.B, DesignSpec.R and ProjectionSet.compressor form
+the dense matrices on first read, for readers outside it (the dense
+oracles, `gmanova diagnose`, a written manifest).  The products are the hat
+projection of A, the hypothesis projection, the row compressor mapping
+observations into the hypothesis-relevant within-space (in the thin form
+of row_compressor), the balancing weights that cancel the
 diagonal bias of the naive quadratic form, and the zero-diagonal weight
 matrix Omega that makes the trace statistic unbiased.  Rows of one group
 with equal rows of A form a row class; the projections, the weights and
@@ -95,7 +101,42 @@ def residual_basis(A_i, *, group: int = 0) -> np.ndarray:
     return U
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
+class Structured:
+    """A response-side matrix given by its structure instead of its
+    entries: kind "identity" is the p x p identity and kind "differences"
+    the (p - 1) x p first differences, whose row j is e_j - e_(j+1).  Both
+    have full row rank.  dense(m) forms the first m rows (all by default);
+    the package reads the structure and forms no p x p array."""
+
+    kind: str
+    p: int
+
+    def __post_init__(self):
+        if self.kind not in ("identity", "differences"):
+            raise DesignError(f"unknown structured matrix kind {self.kind!r}")
+        if self.p < 1 + (self.kind == "differences"):
+            raise DesignError(f"a {self.kind} matrix of p={self.p} coordinates has no rows")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.p - (self.kind == "differences"), self.p
+
+    def dense(self, m: int | None = None) -> np.ndarray:
+        M = np.eye(self.shape[0] if m is None else m, self.p)
+        if self.kind == "differences":
+            M -= np.eye(M.shape[0], self.p, k=1)
+        return M
+
+    def gram(self) -> np.ndarray:
+        """M M': the identity, or the tridiagonal 2 I - (shifts) of differences."""
+        r = self.shape[0]
+        if self.kind == "identity":
+            return np.eye(r)
+        return 2.0 * np.eye(r) - np.eye(r, k=1) - np.eye(r, k=-1)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class DesignSpec:
     """Known design of the model X = A Theta B' + E and the hypothesis
     L Theta R' = 0, together with the group partition of the N rows.
@@ -103,46 +144,74 @@ class DesignSpec:
     A is N x k (rank k), B is p x q (rank q), L is ell x k (rank ell),
     R is r x q (rank r), and group_sizes gives the g block sizes of the
     row partition of A/X (observations in one group share a covariance).
+    B and R are dense matrices or Structured ones, kept in the form given
+    (b_form, r_form).  A Structured identity B with a Structured R is the
+    response side the package reads by its structure (response); the
+    dense B and R are formed on first read, for readers outside it.
     Its factorizations and projections are computed once, read-only and at
     one BLAS thread, so their bits do not depend on which caller came first.
     """
 
     A: np.ndarray
-    B: np.ndarray
+    b_form: np.ndarray | Structured
     L: np.ndarray
-    R: np.ndarray
+    r_form: np.ndarray | Structured
     group_sizes: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, "B"))
-        object.__setattr__(self, "L", _as_matrix(self.L, "L"))
-        object.__setattr__(self, "R", _as_matrix(self.R, "R"))
-        sizes = tuple(int(n) for n in self.group_sizes)
+    def __init__(self, A, B, L, R, group_sizes):
+        form = lambda M, name: M if isinstance(M, Structured) else _as_matrix(M, name)
+        object.__setattr__(self, "A", _as_matrix(A, "A"))
+        object.__setattr__(self, "b_form", form(B, "B"))
+        object.__setattr__(self, "L", _as_matrix(L, "L"))
+        object.__setattr__(self, "r_form", form(R, "R"))
+        sizes = tuple(int(n) for n in group_sizes)
         if len(sizes) == 0 or any(n < 1 for n in sizes):
             raise DesignError(f"group sizes must be positive, got {sizes}")
         object.__setattr__(self, "group_sizes", sizes)
 
         N, k = self.A.shape
-        p, q = self.B.shape
+        p, q = self.b_form.shape
         ell = self.L.shape[0]
-        r = self.R.shape[0]
+        r = self.r_form.shape[0]
         if sum(sizes) != N:
             raise DesignError(
                 f"group sizes sum to {sum(sizes)} but A has {N} rows")
         if self.L.shape[1] != k:
             raise DesignError(f"L has {self.L.shape[1]} columns, expected k={k}")
-        if self.R.shape[1] != q:
-            raise DesignError(f"R has {self.R.shape[1]} columns, expected q={q}")
+        if self.r_form.shape[1] != q:
+            raise DesignError(f"R has {self.r_form.shape[1]} columns, expected q={q}")
         if not (ell <= k <= N):
             raise DesignError(f"need ell <= k <= N, got ell={ell}, k={k}, N={N}")
         if not (r <= q <= p):
             raise DesignError(f"need r <= q <= p, got r={r}, q={q}, p={p}")
-        for name, M, want in (("A", self.A, k), ("B", self.B, q),
-                              ("L", self.L, ell), ("R", self.R, r)):
-            got = self.a_basis.shape[1] if M is self.A else numerical_rank(M)
+        for name, M, want in (("A", self.A, k), ("B", self.b_form, q),
+                              ("L", self.L, ell), ("R", self.r_form, r)):
+            got = (self.a_basis.shape[1] if M is self.A else
+                   M.shape[0] if isinstance(M, Structured) else numerical_rank(M))
             if got != want:
                 raise DesignError(f"{name} must have full rank {want}, got {got}")
+
+    @property
+    def response(self) -> str | None:
+        """The kind of a Structured R when B is a Structured identity, which
+        the package reads in place of B and R; None for the dense route."""
+        if isinstance(self.b_form, Structured) and isinstance(self.r_form, Structured):
+            return self.r_form.kind
+        return None
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return _dense(self.b_form)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return _dense(self.r_form)
+
+    def mean(self, theta, rows=slice(None)) -> np.ndarray:
+        """The mean A theta B' at the given rows of A; a structured B, the
+        identity, is not multiplied."""
+        M = self.A[rows] @ theta
+        return M if self.response else M @ self.B.T
 
     @property
     def N(self) -> int:
@@ -154,11 +223,11 @@ class DesignSpec:
 
     @property
     def p(self) -> int:
-        return self.B.shape[0]
+        return self.b_form.shape[0]
 
     @property
     def q(self) -> int:
-        return self.B.shape[1]
+        return self.b_form.shape[1]
 
     @property
     def ell(self) -> int:
@@ -166,7 +235,7 @@ class DesignSpec:
 
     @property
     def r(self) -> int:
-        return self.R.shape[0]
+        return self.r_form.shape[0]
 
     @property
     def g(self) -> int:
@@ -215,7 +284,9 @@ class DesignSpec:
     @cached_property
     def hypothesis_grams(self) -> tuple[np.ndarray, np.ndarray]:
         """(L(A'A)^{-1}L', R(B'B)^{-1}R'): the Grams of the hypothesis in the
-        spaces of A and of B."""
+        spaces of A and of B, the second R R' for a structured response."""
+        if self.response:
+            return self._a_factors[0], _read_only(self.r_form.gram())
         return self._a_factors[0], self._b_factors[1]
 
     @property
@@ -419,24 +490,36 @@ class OmegaFactors:
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Design geometry consumed by the test: the diagonal of the hypothesis
-    projection, the row compressor, the balancing weights d and the
-    balancing residual e (one of each per row), the relative balancing
-    residual, omega's factors, which the data are read through, and the
-    class weights, which the variance, the diagnostics and the mean's
-    omega-weighted rows read.
+    projection, the row compressor in row_compressor's thin form for p
+    responses, the balancing weights d and the balancing residual e (one of
+    each per row), the relative balancing residual, omega's factors, which
+    the data are read through, and the class weights, which the variance,
+    the diagnostics and the mean's omega-weighted rows read.
 
-    The dense N x N hat projection pi_a, hypothesis projection pi_h and
-    weight matrix omega are expanded from the class weights on first read,
-    in O(N^2), and cached read-only; nothing in the test itself reads them.
+    The dense r x p compressor, N x N hat projection pi_a, hypothesis
+    projection pi_h and weight matrix omega are formed on first read (the
+    last three from the class weights, in O(N^2)) and cached read-only;
+    nothing in the test itself reads them.
     """
 
     h_diag: np.ndarray
-    compressor: np.ndarray
+    thin: np.ndarray | None
+    p: int
     d: np.ndarray
     e: np.ndarray
     balancing_residual: float
     factors: OmegaFactors
     weights: ClassWeights
+
+    @cached_property
+    def compressor(self) -> np.ndarray:
+        """The dense P: the identity for a skipped one, H[1:] for a reflection."""
+        w = self.thin
+        if w is None:
+            return _read_only(np.eye(self.p))
+        if w.ndim == 2:
+            return w
+        return _read_only(np.eye(self.p)[1:] - 2.0 * np.outer(w[1:], w))
 
     @cached_property
     def pi_a(self) -> np.ndarray:
@@ -471,6 +554,11 @@ def _read_only(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _dense(M) -> np.ndarray:
+    """A Structured matrix formed densely, read-only; an array itself."""
+    return _read_only(M.dense()) if isinstance(M, Structured) else M
+
+
 def projector(M) -> np.ndarray:
     """Symmetric idempotent projector onto the column space of M.
 
@@ -501,16 +589,26 @@ def hypothesis_projector(design: DesignSpec, rows) -> tuple[np.ndarray, np.ndarr
     return pi_h, np.diag(pi_h).copy()
 
 
-def row_compressor(design: DesignSpec) -> np.ndarray:
-    """The r x p compressor {R(B'B)^{-1}R'}^{-1/2} R (B'B)^{-1} B'.
+def row_compressor(design: DesignSpec) -> np.ndarray | None:
+    """The r x p compressor P = {R(B'B)^{-1}R'}^{-1/2} R (B'B)^{-1} B' in
+    the thin form that estimators.compress applies.
 
-    Its Gram matrix is a projection of rank r.  The inverse square root is
-    taken through a symmetric eigendecomposition.  When r = p the
-    compressor is orthogonal and every trace of the test is invariant under
-    it (compress skips it), so the identity is returned in its place.
+    Its Gram matrix is a projection of rank r, and every trace of the test
+    is invariant under P -> O P for an orthogonal O, so any P with
+    orthonormal rows spanning that projection's range serves.  When r = p
+    the compressor is orthogonal and skipped: None.  For a structured
+    first-difference R (B = I) the range is the complement of the ones
+    vector, and the form is the unit vector w of the Householder reflection
+    H = I - 2ww' that maps 1/sqrt(p) to e_1: P = H[1:], so X P' =
+    (X H)[:, 1:] costs O(Np).  Otherwise P itself, its inverse square root
+    taken through a symmetric eigendecomposition.
     """
     if design.r == design.p:
-        return np.eye(design.p)
+        return None
+    if design.response == "differences":
+        w = np.full(design.p, 1.0 / sqrt(design.p))
+        w[0] -= 1.0
+        return w / np.linalg.norm(w)
     GinvRT, M = design._b_factors
     w, V = np.linalg.eigh((M + M.T) / 2.0)
     if not positive_definite(w[0], w[-1]):
@@ -606,17 +704,19 @@ def build_projections(design: DesignSpec) -> ProjectionSet:
     pi_a = q_u @ q_u.T
     pi_a = (pi_a + pi_a.T) / 2.0
     pi_h, h = hypothesis_projector(design, classes.first)
-    compressor = row_compressor(design)
+    thin = row_compressor(design)
+    if thin is not None:
+        _read_only(thin)
     d, e, rel = _balancing_weights(pi_a, h, n)
     omega = build_omega(pi_h, pi_a, d, n)
     h, row_d, row_e = h[classes.index], d[classes.index], e[classes.index]
     factors = OmegaFactors.build(design.hypothesis_root, q, row_d, row_e, design.group_basis)
-    for M in (*vars(classes).values(), pi_a, pi_h, omega, compressor, h, row_d, row_e,
+    for M in (*vars(classes).values(), pi_a, pi_h, omega, h, row_d, row_e,
               factors.lift, factors.wu, factors.de,
               *(M for term in factors.terms for M in term)):
         _read_only(M)
     weights = ClassWeights(classes=classes, pi_a=pi_a, pi_h=pi_h, omega=omega)
-    return ProjectionSet(h_diag=h, compressor=compressor, d=row_d, e=row_e,
+    return ProjectionSet(h_diag=h, thin=thin, p=design.p, d=row_d, e=row_e,
                          balancing_residual=rel, factors=factors,
                          weights=weights)
 

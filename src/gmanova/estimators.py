@@ -122,18 +122,42 @@ def group_projector(U) -> np.ndarray:
     return projector(U) if U.shape[1] else np.zeros((U.shape[0], U.shape[0]))
 
 
+def skips(compressor) -> bool:
+    """Whether compress leaves rows as they are: for None (rows already
+    compressed, or a compressor that row_compressor skips) and for a square
+    compressor, which is orthogonal; every trace the test uses is invariant
+    under an orthogonal one."""
+    return compressor is None or (compressor.ndim == 2
+                                  and compressor.shape[0] == compressor.shape[1])
+
+
 def compress(X, compressor) -> np.ndarray:
     """Rows of X (a matrix or a stack of them) mapped by the design's row
-    compressor P (PP' = I_r).
-
-    A square compressor is orthogonal and every trace the test uses is
-    invariant under it, so it is skipped; so is None, for rows that are
-    already compressed.
+    compressor P (PP' = I_r), in any form of design.row_compressor: skipped
+    (see skips), the vector w of a reflection H = I - 2ww' with P = H[1:],
+    applied as (X H)[..., 1:] in O(Np), or P itself.
     """
     X = np.asarray(X, dtype=float)
-    if compressor is None or compressor.shape[0] == compressor.shape[1]:
+    if skips(compressor):
         return X
+    if compressor.ndim == 1:
+        Y = np.multiply.outer(X @ compressor, -2.0 * compressor[1:])
+        Y += X[..., 1:]
+        return Y
     return X @ np.asarray(compressor, dtype=float).T
+
+
+def expand(Y, compressor) -> np.ndarray:
+    """Compressed rows Y mapped back to the p responses, Y P, the transpose
+    of compress for the same compressor."""
+    Y = np.asarray(Y, dtype=float)
+    if skips(compressor):
+        return Y
+    if compressor.ndim == 1:
+        X = np.multiply.outer(Y @ compressor[1:], -2.0 * compressor)
+        X[..., 1:] += Y
+        return X
+    return Y @ compressor
 
 
 def _blocks(Z, r: int) -> np.ndarray:
@@ -365,7 +389,7 @@ def estimate_variance(sample: GroupedSample, design: DesignSpec) -> VarianceEsti
         raise ConfigError(
             f"data has p={sample.p} response columns but design B has "
             f"p={design.p} rows")
-    Y = compress(sample.X, design.projections.compressor)
+    Y = compress(sample.X, design.projections.thin)
     _, q, a2, b, sigma0_sq = centred_stack(Y[None], design)
     bases = design.group_bases
     s_read = lambda: tuple(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import DesignSpec
+from .design import DesignSpec, Structured
 from .errors import ConfigError, DesignError
 
 EFFECTS = ("main_a", "main_b", "interaction")
@@ -65,8 +65,8 @@ def one_way_manova(group_sizes, p: int) -> Scenario:
     """Equality of all group mean vectors for p responses."""
     sizes = _check_groups(group_sizes)
     p, g = _check_p(p), len(sizes)
-    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(p),
-                        L=_reference_contrasts(g), R=np.eye(p),
+    design = DesignSpec(A=_ones_blocks(sizes), B=Structured("identity", p),
+                        L=_reference_contrasts(g), R=Structured("identity", p),
                         group_sizes=sizes)
     return Scenario(name="one-way",
                     design=design,
@@ -103,8 +103,8 @@ def two_way_manova(levels_a: int, levels_b: int, cell_sizes, p: int,
     else:
         L = np.kron(Ca, Cb)
         null = "no interaction between the two factors"
-    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(p), L=L,
-                        R=np.eye(p), group_sizes=sizes)
+    design = DesignSpec(A=_ones_blocks(sizes), B=Structured("identity", p), L=L,
+                        R=Structured("identity", p), group_sizes=sizes)
     return Scenario(name="two-way", design=design, null_description=null)
 
 
@@ -116,12 +116,9 @@ def profile_parallelism(group_sizes, p: int) -> Scenario:
     if p < 2:
         raise ConfigError(f"profiles need p >= 2 coordinates, got {p}")
     g = len(sizes)
-    R = np.zeros((p - 1, p))
-    idx = np.arange(p - 1)
-    R[idx, idx] = 1.0
-    R[idx, idx + 1] = -1.0
-    design = DesignSpec(A=_ones_blocks(sizes), B=np.eye(p),
-                        L=_reference_contrasts(g), R=R, group_sizes=sizes)
+    design = DesignSpec(A=_ones_blocks(sizes), B=Structured("identity", p),
+                        L=_reference_contrasts(g), R=Structured("differences", p),
+                        group_sizes=sizes)
     return Scenario(name="profile-parallelism",
                     design=design,
                     null_description=f"the {g} group mean profiles are parallel")

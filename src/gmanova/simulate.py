@@ -9,7 +9,7 @@ per replication, which draws the same bits.
 
 A call's draw plan (_plan) picks its route "<colouring>/<slot>" once.
 The colouring is "eigenbasis" when every group's law is spherical
-(gaussian or elliptical_t), the compressor is square and the covariances
+(gaussian or elliptical_t), the compressor is skipped (r = p) and the covariances
 share one eigenbasis V (one full covariance, every other one exactly
 c I): standard rows Z are drawn in V with their columns scaled by the
 square roots of the eigenvalues Lambda, one O(n_i p) pass, and the data
@@ -17,7 +17,7 @@ matrix of replication j is defined as (Z Lambda^(1/2)) V' + A theta B',
 equal in law to, but not bitwise, the "root" colouring, which multiplies
 each group's standard rows by the covariance's symmetric root or scales
 them by the square roots of a diagonal one.  The slot, what
-TraceTestEngine.statistics reads, is "rows" drawn in place (square
+TraceTestEngine.statistics reads, is "rows" drawn in place (skipped
 compressor, r <= N), "compressed" rows E P' (r <= N < p) or "gram", the
 N x N Gram of those (r > N).  The benchmark workloads take
 eigenbasis/rows (N = 1000, p = 300, B = 1), eigenbasis/gram (N = 100,
@@ -52,6 +52,7 @@ from .blas import one_blas_thread
 from .covariance import lookup
 from .design import DesignSpec, _read_only
 from .errors import ConfigError
+from .estimators import compress
 from .trace_test import (
     MeanModel,
     TraceTestEngine,
@@ -276,7 +277,8 @@ def _plan(design: DesignSpec, model: MeanModel, dists, entries=None) -> _Plan:
                for entry, S, (w, basis) in zip(entries, model.sigmas, spectra)]
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
-    PT = None if r == p else np.ascontiguousarray(design.projections.compressor.T)
+    thin = design.projections.thin
+    PT = None if thin is None or thin.ndim == 1 else np.ascontiguousarray(thin.T)
     local = threading.local()
 
     def draw(seed: int, j: int, out: np.ndarray) -> np.ndarray:
@@ -292,18 +294,21 @@ def _plan(design: DesignSpec, model: MeanModel, dists, entries=None) -> _Plan:
 
     def stack(B: int) -> np.ndarray:
         if not hasattr(local, "stack"):  # this thread's stack and scratch buffers
-            local.X = None if PT is None else np.empty((N, p))
+            local.X = None if thin is None else np.empty((N, p))
             if r > N:
                 local.Y, local.stack = np.empty((N, r)), np.empty((B, N, N))
-            elif PT is None:
+            elif thin is None:
                 local.stack = np.empty((B, N, p))
             else:  # laid out over N first, as statistics reads compressed rows
                 local.stack = np.empty((N, B, r)).swapaxes(0, 1)
         return local.stack
 
     def compressed(seed: int, j: int, out: np.ndarray) -> np.ndarray:
-        if PT is None:  # a square compressor is skipped: drawn in place
+        if thin is None:  # a skipped compressor: drawn in place
             return draw(seed, j, out)
+        if PT is None:
+            out[...] = compress(draw(seed, j, local.X), thin)
+            return out
         return np.matmul(draw(seed, j, local.X), PT, out=out)
 
     def gram(seed: int, j: int, slot: np.ndarray) -> np.ndarray:
@@ -321,7 +326,7 @@ def _plan(design: DesignSpec, model: MeanModel, dists, entries=None) -> _Plan:
         classes = design.projections.weights.classes
         weighted = (WM if V is None else WM @ V)[classes.index]
         offset = float(classes.sizes @ np.einsum("ij,ij->i", WM, M))
-    slot = "gram" if r > N else "rows" if PT is None else "compressed"
+    slot = "gram" if r > N else "rows" if thin is None else "compressed"
     return _Plan(f"{'eigenbasis' if eigenbasis else 'root'}/{slot}", stack,
                  gram if r > N else compressed, weighted, offset, errors)
 
@@ -330,7 +335,7 @@ def replication_sampler(design: DesignSpec, model: MeanModel, dists):
     """draw(seed, j): the N x p data matrix of replication j of a run keyed
     by seed, the errors of its draw plan plus the model's mean A theta B'."""
     errors = _plan(design, model, dists).errors
-    mean = design.A @ model.theta @ design.B.T
+    mean = design.mean(model.theta)
     return lambda seed, j: errors(seed, j) + mean
 
 
@@ -466,7 +471,8 @@ def canonical_direction(design: DesignSpec) -> np.ndarray:
     """A unit-scale mean direction guaranteed to violate the null: the outer
     product of the first rows of L and R."""
     u = design.L[0]
-    v = design.R[0]
+    R = design.r_form
+    v = R[0] if isinstance(R, np.ndarray) else R.dense(1)[0]
     return np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
 
 

@@ -45,12 +45,17 @@ from .estimators import (
     centred_stack,
     compress,
     estimate_variance,
+    expand,
     gram_stack,
     sigma0_from_blocks,
+    skips,
 )
 
 # q / sqrt(sigma^2) beyond which the asymptotic power is reported as 1.
 LARGE_SIGNAL_CUTOFF = 40.0
+# The largest entry of the compressed covariances that assumption_diagnostics
+# reads unscaled.
+PSI_WINDOW = (2.0 ** -200, 2.0 ** 200)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class MeanModel:
 
 def statistic_t(X, compressor, omega) -> float:
     """The bias-corrected trace statistic T = tr(P X' Omega X P') for the
-    design's row compressor P (a square one is skipped, see compress).
+    design's row compressor P, in any form compress applies.
 
     omega is either the OmegaFactors of the design, which form no N x N
     matrix, or the dense N x N weight matrix, the reference form.
@@ -186,7 +191,7 @@ class TraceTestEngine:
             raise ConfigError(
                 f"data shape {X.shape} does not match design: expected ({N}, {p}), "
                 f"or a stack of (B, {N}, {r}) compressed rows{grams}")
-        Y = X if X.ndim == 3 else compress(X, self.projections.compressor)[None]
+        Y = X if X.ndim == 3 else compress(X, self.projections.thin)[None]
         t, _, a2, b, sigma0_sq = (gram_stack if gram else centred_stack)(Y, self.design)
         if X.ndim == 2:
             return float(t[0]), a2[0], b[0], float(sigma0_sq[0])
@@ -214,7 +219,7 @@ def run_test(sample: GroupedSample, design: DesignSpec, alpha: float = 0.05,
     alpha = _check_alpha(alpha)
     est = estimate_variance(sample, design)  # checks the sample first
     proj = design.projections
-    t = statistic_t(sample.X, proj.compressor, proj.factors)
+    t = statistic_t(sample.X, proj.thin, proj.factors)
     z, p_value, reject, degenerate = _decide(t, est.sigma0_sq, alpha)
     diag = None
     if diagnostics:
@@ -231,11 +236,20 @@ def true_q(theta, design: DesignSpec) -> float:
     if theta.shape != (design.k, design.q):
         raise ValueError(
             f"theta must be {design.k} x {design.q}, got {theta.shape}")
-    C = design.L @ theta @ design.R.T
+    C = design.L @ theta
+    if design.response is None:
+        C = C @ design.R.T
+    elif design.response == "differences":
+        # C D' vanishes exactly when each row of C is constant, and
+        # C D' (D D')^{-1} D C' = C Pi C' for the centring Pi = I - 11'/p.
+        if not np.any(np.diff(C, axis=1)):
+            return 0.0
+        C = C - np.mean(C, axis=1, keepdims=True)
     if not np.any(C):
         return 0.0
     GA, GB = design.hypothesis_grams
-    return float(np.trace(np.linalg.solve(GA, C) @ np.linalg.solve(GB, C.T)))
+    right = C.T if design.response else np.linalg.solve(GB, C.T)
+    return float(np.trace(np.linalg.solve(GA, C) @ right))
 
 
 def mean_rows(theta, design: DesignSpec):
@@ -250,7 +264,7 @@ def mean_rows(theta, design: DesignSpec):
     proj = design.projections
     w = proj.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        M = compress(design.A[w.classes.first] @ theta @ design.B.T, proj.compressor)
+        M = compress(design.mean(theta, w.classes.first), proj.thin)
         if not np.any(M):
             return None
         coef = w.omega * w.classes.sizes
@@ -265,13 +279,13 @@ def mean_rows(theta, design: DesignSpec):
 
 def _compressed_covariance(S, compressor, entry) -> np.ndarray:
     """The symmetric part of (P S P')' for the row compressor P, through
-    compress (S' itself for a square, orthogonal P, under which every trace
-    of the test is invariant).  Every gate judges a covariance by its
-    symmetric part, so the traces are those of symmetric matrices.  Under
-    a square P, an S that its covariance cache entry judges exactly
-    symmetric is returned itself, as the symmetrization would change no
-    bit, and no p x p matrix is formed."""
-    if compressor.shape[0] == compressor.shape[1] and entry.is_symmetric(S):
+    compress (S' itself for a skipped P, under which every trace of the
+    test is invariant).  Every gate judges a covariance by its symmetric
+    part, so the traces are those of symmetric matrices.  Under a skipped
+    P, an S that its covariance cache entry judges exactly symmetric is
+    returned itself, as the symmetrization would change no bit, and no
+    p x p matrix is formed."""
+    if skips(compressor) and entry.is_symmetric(S):
         return S
     Psi = compress(compress(S, compressor).T, compressor)
     return (Psi + Psi.T) / 2.0
@@ -308,7 +322,7 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     entries = _check_covariances(model, design, entries)
     proj = design.projections if projections is None else projections
     g = design.g
-    psis = [_compressed_covariance(S, proj.compressor, entry)
+    psis = [_compressed_covariance(S, proj.thin, entry)
             for S, entry in zip(model.sigmas, entries)]
     b = np.empty((g, g))
     for i in range(g):
@@ -319,7 +333,7 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     if rows is None:
         return sigma0_sq, sigma0_sq
     classes = proj.weights.classes
-    spread = _mean_term_spread(compress(rows[1], proj.compressor.T),
+    spread = _mean_term_spread(expand(rows[1], proj.thin),
                                model.sigmas, group_spans(classes.group, g))
     return sigma0_sq + 4.0 * float(classes.sizes @ spread), sigma0_sq
 
@@ -385,6 +399,12 @@ def assumption_diagnostics(psis, omega, *,
     psis = [np.asarray(Psi, dtype=float) for Psi in psis]
     if len(psis) != g:
         raise ValueError(f"{len(psis)} compressed covariances for {g} groups")
+    # The ratios are scale-free.  Psis whose largest entry, which lies on a
+    # diagonal, is outside PSI_WINDOW are scaled by one power of two, exactly,
+    # so that their fourth-order traces stay normal floats.
+    top = max(float(np.max(np.abs(np.diagonal(Psi)), initial=0.0)) for Psi in psis)
+    if top > 0.0 and not PSI_WINDOW[0] <= top <= PSI_WINDOW[1]:
+        psis = [np.ldexp(Psi, -np.frexp(top)[1]) for Psi in psis]
     # For symmetric psis, Cauchy-Schwarz twice gives |tr(Psi_a Psi_b Psi_c
     # Psi_d)| = |<Psi_a Psi_b, Psi_d Psi_c>| <= (q_a q_b q_c q_d)^(1/4), where
     # q_a = ||Psi_a^2||_F^2 is the trace of the tuple (a, a, a, a).  Only a
@@ -436,12 +456,12 @@ def model_diagnostics(model: MeanModel, design: DesignSpec, *,
     """Population-mode diagnostics for a fully specified model."""
     entries = _check_covariances(model, design)
     proj = design.projections
-    psis = [_compressed_covariance(S, proj.compressor, entry)
+    psis = [_compressed_covariance(S, proj.thin, entry)
             for S, entry in zip(model.sigmas, entries)]
     rows = mean_rows(model.theta, design)
     m_rows = m_scale = None
     if rows is not None:
-        m_rows, m_scale = compress(rows[1], proj.compressor.T), float(np.max(np.abs(rows[0])))
+        m_rows, m_scale = expand(rows[1], proj.thin), float(np.max(np.abs(rows[0])))
     return assumption_diagnostics(psis, proj.weights, m_rows=m_rows, sigmas=model.sigmas,
                                   m_scale=m_scale, heuristic=False,
                                   d1_bound=d1_bound)

@@ -10,12 +10,13 @@ rest pruned; the ratio must match the g^4 tuple loop of the oracle.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from gmanova import GroupedSample, run_test, two_way_manova
+from gmanova import GroupedSample, estimate_variance, run_test, two_way_manova
 from gmanova.oracle import a2_ratio_by_tuples
 from gmanova.trace_test import assumption_diagnostics
 
@@ -77,3 +78,32 @@ def test_paper_regime_diagnostics_stay_small():
         tracemalloc.stop()
     assert 0.0 < report.diagnostics.a2_ratio < 1.0
     assert peak < 100e6, peak / 1e6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 3), st.integers(2, 12), st.integers(-500, 500),
+       st.integers(0, 2 ** 32 - 1))
+def test_a2_ratio_is_bitwise_scale_free(b, p, k, seed):
+    """Data times 2^k give the k = 0 a2_ratio bit for bit, with warnings as
+    errors, wherever the scatters stay normal floats: psis beyond the
+    window are scaled back by one power of two before any fourth power."""
+    design = two_way_manova(2, b, (5,) * (2 * b), p, "interaction").design
+    X = np.random.default_rng(seed).standard_normal((design.N, p))
+    scaled = np.ldexp(X, k)
+    tiny = np.finfo(float).tiny
+    assume(np.all(np.isfinite(scaled)))
+    sample = GroupedSample(scaled, design.group_sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = run_test(GroupedSample(X, design.group_sizes), design, diagnostics=True)
+        try:
+            run_test(sample, design)
+        except RuntimeWarning:
+            assume(False)  # the statistic itself leaves the float range
+        got = run_test(sample, design, diagnostics=True)
+        scatters = estimate_variance(sample, design).s
+    values = np.abs(np.concatenate([S.ravel() for S in scatters]))
+    assume(np.all(np.isfinite(values)) and np.all(values[values > 0] >= tiny))
+    event("scaled" if abs(2 * k) > 200 else "inside the window")
+    assert got.diagnostics.a2_ratio == want.diagnostics.a2_ratio

@@ -1,6 +1,7 @@
-"""Property test: the diagnostics' a2 ratio, which reads every
-fourth-order trace from one Gram matrix of the stacked pair products,
-matches the g^4 tuple loop of oracle.a2_ratio_by_tuples on the dense omega.
+"""Property test: the diagnostics' a2 ratio, which takes the largest
+fourth-order trace from tr(Psi_a^4) and its Cauchy-Schwarz bound, evaluating
+only the tuples whose bound beats it, matches the g^4 tuple loop of
+oracle.a2_ratio_by_tuples on the dense omega.
 
 Designs are one-way (g = 1..5, a hypothesis that may leave groups out or
 constrain each group on its own, so some omega blocks vanish), growth-curve (g = 1..5) and 2 x 2 two-way
@@ -136,9 +137,10 @@ def test_inactive_blocks_are_left_out():
 
 
 def test_inactive_diagonal_blocks():
-    """With no weight within groups every diagonal block is inactive, so a
-    tuple the ratio reads has four distinct groups, and reads pair products
-    (b, a) with b > a, which V holds as the transposes of (a, b).  Hand-built
+    """With no weight within groups every diagonal block is inactive, so no
+    tr(Psi_a^4) is itself a term: a tuple the ratio reads has four distinct
+    groups, and is evaluated from its pair products (a, b) and (d, c)
+    whenever its bound beats the largest term found so far.  Hand-built
     class weights: g = 4 groups of two one-row classes each."""
     g, sizes = 4, (2, 2, 2, 2)
     group = np.repeat(np.arange(g), sizes)

@@ -645,3 +645,28 @@ class TestMatrixTheta:
         f = _config_file(tmp_path, theta=theta)
         assert main(["simulate", "--config", str(f), "--threads", "1"]) == 2
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e60, 1e-60])
+def test_diagnostics_of_rescaled_data_match_the_unscaled_file(tmp_path, capsys, recwarn,
+                                                              scale):
+    """`gmanova test --diagnostics` on a 30 x 40 one-way file times 1e60 or
+    1e-60 exits 0 with no RuntimeWarning, and reports the z and the ratios
+    of the unscaled file (the scaling itself rounds, so within 1e-12)."""
+    X = np.random.default_rng(0).normal(size=(30, 40))
+    labels = np.repeat(["a", "b", "c"], 10)
+    reports = []
+    for name, c in (("plain", 1.0), ("scaled", scale)):
+        data = _write(tmp_path / f"{name}.csv", "".join(
+            f"{label}," + ",".join(repr(float(v) * c) for v in row) + "\n"
+            for label, row in zip(labels, X)))
+        out = tmp_path / f"{name}.json"
+        assert main(["test", "--data", str(data), "--diagnostics", "--out", str(out)]) == 0
+        reports.append(json.loads(out.read_text(encoding="utf-8")))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    want, got = reports
+    assert got["z"] == pytest.approx(want["z"], rel=1e-12, abs=1e-12)
+    for key in ("rho_n", "a2_ratio", "a3_ratio"):
+        assert got["diagnostics"][key] == pytest.approx(want["diagnostics"][key], rel=1e-12)

@@ -80,7 +80,7 @@ def _close(got, want, scale=0.0):
 
 
 def _copy(design) -> DesignSpec:
-    return DesignSpec(A=design.A, B=design.B, L=design.L, R=design.R,
+    return DesignSpec(A=design.A, B=design.b_form, L=design.L, R=design.r_form,
                       group_sizes=design.group_sizes)
 
 

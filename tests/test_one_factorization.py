@@ -135,34 +135,38 @@ def test_simulate_rejects_a_singular_covariance_with_exit_2(tmp_path, capsys):
 
 def test_design_factorizations_run_once_per_design(monkeypatch):
     """Two engine builds and a nonzero true_q: one Cholesky of
-    L(A'A)^{-1}L', one solve with B'B and one SVD of each group's block."""
-    design = profile_parallelism((12, 15, 9), 6).design
-    B_gram = design.B.T @ design.B
-    calls = {"cholesky": 0, "b_gram_solve": 0, "svd": []}
+    L(A'A)^{-1}L', one SVD of each group's block, and one solve with B'B
+    for dense B and R; the structured profile design solves none."""
+    structured = profile_parallelism((12, 15, 9), 6).design
+    dense = DesignSpec(A=structured.A, B=structured.B, L=structured.L, R=structured.R,
+                       group_sizes=structured.group_sizes)
+    B_gram = dense.B.T @ dense.B
     cholesky, solve, svd = np.linalg.cholesky, np.linalg.solve, np.linalg.svd
+    for design, b_gram_solves in ((structured, 0), (dense, 1)):
+        calls = {"cholesky": 0, "b_gram_solve": 0, "svd": []}
 
-    def counting_cholesky(a, *args, **kwargs):
-        calls["cholesky"] += 1
-        return cholesky(a, *args, **kwargs)
+        def counting_cholesky(a, *args, **kwargs):
+            calls["cholesky"] += 1
+            return cholesky(a, *args, **kwargs)
 
-    def counting_solve(a, b, *args, **kwargs):
-        if np.shape(a) == B_gram.shape and np.array_equal(a, B_gram):
-            calls["b_gram_solve"] += 1
-        return solve(a, b, *args, **kwargs)
+        def counting_solve(a, b, *args, **kwargs):
+            if np.shape(a) == B_gram.shape and np.array_equal(a, B_gram):
+                calls["b_gram_solve"] += 1
+            return solve(a, b, *args, **kwargs)
 
-    def counting_svd(a, *args, **kwargs):
-        calls["svd"].append(np.shape(a)[0])
-        return svd(a, *args, **kwargs)
+        def counting_svd(a, *args, **kwargs):
+            calls["svd"].append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    TraceTestEngine(design)
-    TraceTestEngine(design)
-    assert true_q(canonical_direction(design), design) > 0.0
-    assert calls["cholesky"] == 1
-    assert calls["b_gram_solve"] == 1
-    assert [calls["svd"].count(n) for n in design.group_sizes] == [1, 1, 1]
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        TraceTestEngine(design)
+        TraceTestEngine(design)
+        assert true_q(canonical_direction(design), design) > 0.0
+        assert calls["cholesky"] == 1
+        assert calls["b_gram_solve"] == b_gram_solves
+        assert [calls["svd"].count(n) for n in design.group_sizes] == [1, 1, 1]
 
 
 def _bits(summary) -> tuple:
