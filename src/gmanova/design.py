@@ -10,7 +10,9 @@ the dense matrices on first read, for readers outside it (the dense
 oracles, `gmanova diagnose`, a written manifest).  The products are the hat
 projection of A, the hypothesis projection, the row compressor mapping
 observations into the hypothesis-relevant within-space (in the thin form
-of row_compressor), the balancing weights that cancel the
+of row_compressor: None, a reflection vector or a column-major P, which
+this module builds and estimators.compress alone applies), the balancing
+weights that cancel the
 diagonal bias of the naive quadratic form, and the zero-diagonal weight
 matrix Omega that makes the trace statistic unbiased.  Rows of one group
 with equal rows of A form a row class; the projections, the weights and
@@ -127,13 +129,6 @@ class Structured:
         if self.kind == "differences":
             M -= np.eye(M.shape[0], self.p, k=1)
         return M
-
-    def gram(self) -> np.ndarray:
-        """M M': the identity, or the tridiagonal 2 I - (shifts) of differences."""
-        r = self.shape[0]
-        if self.kind == "identity":
-            return np.eye(r)
-        return 2.0 * np.eye(r) - np.eye(r, k=1) - np.eye(r, k=-1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -282,12 +277,11 @@ class DesignSpec:
         return _read_only(GinvRT), _read_only(GB)
 
     @cached_property
-    def hypothesis_grams(self) -> tuple[np.ndarray, np.ndarray]:
+    def hypothesis_grams(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(L(A'A)^{-1}L', R(B'B)^{-1}R'): the Grams of the hypothesis in the
-        spaces of A and of B, the second R R' for a structured response."""
-        if self.response:
-            return self._a_factors[0], _read_only(self.r_form.gram())
-        return self._a_factors[0], self._b_factors[1]
+        spaces of A and of B, the second None for a structured response,
+        which trace_test.true_q reads in closed form."""
+        return self._a_factors[0], None if self.response else self._b_factors[1]
 
     @property
     def hypothesis_root(self) -> np.ndarray:
@@ -601,7 +595,8 @@ def row_compressor(design: DesignSpec) -> np.ndarray | None:
     vector, and the form is the unit vector w of the Householder reflection
     H = I - 2ww' that maps 1/sqrt(p) to e_1: P = H[1:], so X P' =
     (X H)[:, 1:] costs O(Np).  Otherwise P itself, its inverse square root
-    taken through a symmetric eigendecomposition.
+    taken through a symmetric eigendecomposition, stored column-major so
+    that the P' of X P' is contiguous.
     """
     if design.r == design.p:
         return None
@@ -615,7 +610,7 @@ def row_compressor(design: DesignSpec) -> np.ndarray | None:
         raise DesignError(
             f"R(B'B)^{{-1}}R' is not positive definite (min eigenvalue {w[0]:.3e})")
     inv_sqrt = (V / np.sqrt(w)) @ V.T
-    return inv_sqrt @ (GinvRT.T @ design.B.T)
+    return np.asfortranarray(inv_sqrt @ (GinvRT.T @ design.B.T))
 
 
 def _balancing_weights(S: np.ndarray, h: np.ndarray,

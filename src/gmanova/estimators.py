@@ -6,6 +6,9 @@ the entrywise-squared residual maker, unbiased estimates of tr(Psi_i^2) and
 tr(Psi_i Psi_j) for the compressed covariances Psi_i, and finally the
 variance estimate sigma0_hat^2 of the trace statistic under the null.
 
+compress is the one place that applies the design's row compressor; the
+test and the model side read compressed rows and covariances only.
+
 The estimate is computed here and nowhere else.  Its design constants,
 the tau coefficients and the omega o omega block sums, are cached once
 per design (DesignSpec.tau and ClassWeights.block_sums), so every step
@@ -122,42 +125,23 @@ def group_projector(U) -> np.ndarray:
     return projector(U) if U.shape[1] else np.zeros((U.shape[0], U.shape[0]))
 
 
-def skips(compressor) -> bool:
-    """Whether compress leaves rows as they are: for None (rows already
-    compressed, or a compressor that row_compressor skips) and for a square
-    compressor, which is orthogonal; every trace the test uses is invariant
-    under an orthogonal one."""
-    return compressor is None or (compressor.ndim == 2
-                                  and compressor.shape[0] == compressor.shape[1])
-
-
-def compress(X, compressor) -> np.ndarray:
+def compress(X, compressor, out=None) -> np.ndarray:
     """Rows of X (a matrix or a stack of them) mapped by the design's row
-    compressor P (PP' = I_r), in any form of design.row_compressor: skipped
-    (see skips), the vector w of a reflection H = I - 2ww' with P = H[1:],
-    applied as (X H)[..., 1:] in O(Np), or P itself.
+    compressor P (PP' = I_r), in any form of design.row_compressor: None,
+    which leaves them as they are (rows already compressed, or r = p, under
+    which every trace of the test is invariant), the vector w of a
+    reflection H = I - 2ww' with P = H[1:], applied as (X H)[..., 1:] in
+    O(Np), or P itself.  out, when given and P is not None, receives the
+    compressed rows.
     """
     X = np.asarray(X, dtype=float)
-    if skips(compressor):
+    if compressor is None:
         return X
     if compressor.ndim == 1:
-        Y = np.multiply.outer(X @ compressor, -2.0 * compressor[1:])
+        Y = np.multiply.outer(X @ compressor, -2.0 * compressor[1:], out=out)
         Y += X[..., 1:]
         return Y
-    return X @ np.asarray(compressor, dtype=float).T
-
-
-def expand(Y, compressor) -> np.ndarray:
-    """Compressed rows Y mapped back to the p responses, Y P, the transpose
-    of compress for the same compressor."""
-    Y = np.asarray(Y, dtype=float)
-    if skips(compressor):
-        return Y
-    if compressor.ndim == 1:
-        X = np.multiply.outer(Y @ compressor[1:], -2.0 * compressor)
-        X[..., 1:] += Y
-        return X
-    return Y @ compressor
+    return np.matmul(X, compressor.T, out=out)
 
 
 def _blocks(Z, r: int) -> np.ndarray:

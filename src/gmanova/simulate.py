@@ -43,7 +43,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 from scipy.stats import kstest
@@ -110,12 +110,13 @@ class ErrorDistribution:
             raise ConfigError(f"unknown distribution kind {self.kind!r}; "
                               f"choose from {DISTRIBUTION_KINDS}")
         if self.kind == "elliptical_t":
-            if self.df is None or not self.df > 4:
-                raise ConfigError(
-                    f"elliptical_t needs df > 4 for finite fourth moments, got {self.df}")
+            if self.df is None or not 4 < self.df < inf:
+                raise ConfigError(f"elliptical_t needs a finite df > 4 for finite "
+                                  f"fourth moments, got {self.df}")
         elif self.kind == "standardized_gamma":
-            if self.shape is None or not self.shape > 0:
-                raise ConfigError(f"standardized_gamma needs shape > 0, got {self.shape}")
+            if self.shape is None or not 0 < self.shape < inf:
+                raise ConfigError(
+                    f"standardized_gamma needs a finite shape > 0, got {self.shape}")
 
     @classmethod
     def gaussian(cls) -> "ErrorDistribution":
@@ -176,15 +177,15 @@ class CovarianceSpec:
         if self.kind not in COVARIANCE_KINDS:
             raise ConfigError(f"unknown covariance kind {self.kind!r}; "
                               f"choose from {COVARIANCE_KINDS}")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < inf:
+            raise ConfigError(f"scale must be positive and finite, got {self.scale}")
         if self.kind in ("compound_symmetry", "ar1"):
             if self.rho is None or not -1.0 < self.rho < 1.0:
                 raise ConfigError(f"{self.kind} needs rho in (-1, 1), got {self.rho}")
         if self.kind == "diagonal_ramp":
-            if self.lo is None or self.hi is None or not 0 < self.lo <= self.hi:
-                raise ConfigError(
-                    f"diagonal_ramp needs 0 < lo <= hi, got lo={self.lo}, hi={self.hi}")
+            if self.lo is None or self.hi is None or not 0 < self.lo <= self.hi < inf:
+                raise ConfigError(f"diagonal_ramp needs finite 0 < lo <= hi, "
+                                  f"got lo={self.lo}, hi={self.hi}")
 
     def matrix(self, p: int) -> np.ndarray:
         p = int(p)
@@ -278,7 +279,6 @@ def _plan(design: DesignSpec, model: MeanModel, dists, entries=None) -> _Plan:
     groups = [(design.group_slice(i), design.group_sizes[i], dists[i], *factors[i])
               for i in range(design.g)]
     thin = design.projections.thin
-    PT = None if thin is None or thin.ndim == 1 else np.ascontiguousarray(thin.T)
     local = threading.local()
 
     def draw(seed: int, j: int, out: np.ndarray) -> np.ndarray:
@@ -306,10 +306,7 @@ def _plan(design: DesignSpec, model: MeanModel, dists, entries=None) -> _Plan:
     def compressed(seed: int, j: int, out: np.ndarray) -> np.ndarray:
         if thin is None:  # a skipped compressor: drawn in place
             return draw(seed, j, out)
-        if PT is None:
-            out[...] = compress(draw(seed, j, local.X), thin)
-            return out
-        return np.matmul(draw(seed, j, local.X), PT, out=out)
+        return compress(draw(seed, j, local.X), thin, out=out)
 
     def gram(seed: int, j: int, slot: np.ndarray) -> np.ndarray:
         Y = compressed(seed, j, local.Y)
@@ -484,8 +481,8 @@ def calibrate_signal_ray(design: DesignSpec, direction, sigmas,
     ray, so the calibration reduces to one quadratic equation.
     """
     snr = float(snr)
-    if snr < 0:
-        raise ConfigError(f"signal-to-noise target must be non-negative, got {snr}")
+    if not 0.0 <= snr < inf:
+        raise ConfigError(f"theta.snr must be finite and non-negative, got {snr}")
     direction = np.asarray(direction, dtype=float)
     if snr == 0.0:
         return np.zeros_like(direction)
@@ -503,7 +500,7 @@ def calibrate_signal_ray(design: DesignSpec, direction, sigmas,
         c2 = (snr ** 2 * v0 + sqrt(snr ** 4 * v0 ** 2
                                    + 4.0 * q0 ** 2 * snr ** 2 * sigma0_sq)) / (2.0 * q0 ** 2)
     except OverflowError:
-        c2 = float("inf")
+        c2 = inf
     with np.errstate(over="ignore", invalid="ignore"):
         theta = sqrt(c2) * direction
     if not np.all(np.isfinite(theta)):

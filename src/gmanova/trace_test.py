@@ -9,8 +9,10 @@ estimators.gram_stack reads Grams through the same factors), so no
 N x N matrix is read; it also takes the dense N x N Omega, the reference
 form.  The variance, the diagnostics and the exact variance decomposition
 read Omega between row classes only (ClassWeights, with its cached
-omega o omega block sums, class sizes and groups), the mean through
-mean_rows and every compressed covariance through _compressed_covariance.
+omega o omega block sums, class sizes and groups), the mean through the
+compressed class rows of mean_rows and every covariance through its
+compressed Psi_i = P Sigma_i P' (_compressed_covariance), as tr(Psi_i Psi_j)
+and m Psi_i m'.
 run_test wires the full pipeline (projections, per-group scatter,
 variance estimate, decision) for a single dataset,
 while TraceTestEngine precomputes every design-dependent quantity so
@@ -45,10 +47,8 @@ from .estimators import (
     centred_stack,
     compress,
     estimate_variance,
-    expand,
     gram_stack,
     sigma0_from_blocks,
-    skips,
 )
 
 # q / sqrt(sigma^2) beyond which the asymptotic power is reported as 1.
@@ -65,8 +65,7 @@ class DiagnosticsReport:
     rho_n is the spread of the nonzero squared omega weights; a2_ratio the
     worst fourth-order trace over the squared sum of second-order traces on
     the active blocks; a3_ratio the mean-signal concentration ratio (exactly
-    0 when every weighted mean vector vanishes).  d1_bound is the fourth
-    moment bound of the error generator when known.  heuristic marks
+    0 when every weighted mean vector vanishes).  heuristic marks
     plug-in (data-mode) values, where sample scatters stand in for the
     population compressed covariances.
     """
@@ -74,7 +73,6 @@ class DiagnosticsReport:
     rho_n: float
     a2_ratio: float
     a3_ratio: float
-    d1_bound: float | None
     heuristic: bool
     group_imbalance: float
 
@@ -248,7 +246,7 @@ def true_q(theta, design: DesignSpec) -> float:
     if not np.any(C):
         return 0.0
     GA, GB = design.hypothesis_grams
-    right = C.T if design.response else np.linalg.solve(GB, C.T)
+    right = C.T if GB is None else np.linalg.solve(GB, C.T)
     return float(np.trace(np.linalg.solve(GA, C) @ right))
 
 
@@ -279,13 +277,12 @@ def mean_rows(theta, design: DesignSpec):
 
 def _compressed_covariance(S, compressor, entry) -> np.ndarray:
     """The symmetric part of (P S P')' for the row compressor P, through
-    compress (S' itself for a skipped P, under which every trace of the
-    test is invariant).  Every gate judges a covariance by its symmetric
-    part, so the traces are those of symmetric matrices.  Under a skipped
-    P, an S that its covariance cache entry judges exactly symmetric is
-    returned itself, as the symmetrization would change no bit, and no
-    p x p matrix is formed."""
-    if skips(compressor) and entry.is_symmetric(S):
+    compress.  Every gate judges a covariance by its symmetric part, so the
+    traces are those of symmetric matrices.  Under a skipped P (None; every
+    trace of the test is invariant under an orthogonal P), an S that its
+    covariance cache entry judges exactly symmetric is returned itself, as
+    the symmetrization would change no bit, and no p x p matrix is formed."""
+    if compressor is None and entry.is_symmetric(S):
         return S
     Psi = compress(compress(S, compressor).T, compressor)
     return (Psi + Psi.T) / 2.0
@@ -309,6 +306,15 @@ def _check_covariances(model: MeanModel, design: DesignSpec, entries=None):
     return entries
 
 
+def _psis(model: MeanModel, design: DesignSpec, compressor, entries=None):
+    """The compressed covariances Psi_i of the model's checked covariances
+    (see _check_covariances) under the row compressor, through
+    _compressed_covariance: all that the model side reads of them."""
+    entries = _check_covariances(model, design, entries)
+    return [_compressed_covariance(S, compressor, entry)
+            for S, entry in zip(model.sigmas, entries)]
+
+
 def sigma_full(model: MeanModel, design: DesignSpec,
                projections: ProjectionSet | None = None,
                entries=None) -> tuple[float, float]:
@@ -317,13 +323,12 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     without the mean terms when mean_rows finds no mean.  projections
     are the design's (design.projections when omitted) and entries the
     covariance cache entries of model.sigmas (looked up when omitted).
-    The traces are dot products of the compressed covariances of
-    _compressed_covariance."""
-    entries = _check_covariances(model, design, entries)
+    The traces are dot products of the compressed covariances Psi_i, and
+    the mean term reads m Psi_i m' of the Omega-weighted compressed class
+    rows m of mean_rows."""
     proj = design.projections if projections is None else projections
+    psis = _psis(model, design, proj.thin, entries)
     g = design.g
-    psis = [_compressed_covariance(S, proj.thin, entry)
-            for S, entry in zip(model.sigmas, entries)]
     b = np.empty((g, g))
     for i in range(g):
         for j in range(i, g):
@@ -333,18 +338,17 @@ def sigma_full(model: MeanModel, design: DesignSpec,
     if rows is None:
         return sigma0_sq, sigma0_sq
     classes = proj.weights.classes
-    spread = _mean_term_spread(expand(rows[1], proj.thin),
-                               model.sigmas, group_spans(classes.group, g))
+    spread = _mean_term_spread(rows[1], psis, group_spans(classes.group, g))
     return sigma0_sq + 4.0 * float(classes.sizes @ spread), sigma0_sq
 
 
-def _mean_term_spread(m_rows, sigmas, slices) -> np.ndarray:
-    """m Sigma m' for each row m of m_rows, Sigma the covariance of its
-    group; slices gives the rows of each group."""
+def _mean_term_spread(m_rows, psis, slices) -> np.ndarray:
+    """m Psi m' for each compressed row m of m_rows, Psi the compressed
+    covariance of its group; slices gives the rows of each group."""
     out = np.empty(m_rows.shape[0])
     for i, sl in enumerate(slices):
         M_i = m_rows[sl]
-        out[sl] = np.sum((M_i @ np.asarray(sigmas[i], dtype=float)) * M_i, axis=1)
+        out[sl] = np.sum((M_i @ psis[i]) * M_i, axis=1)
     return out
 
 
@@ -363,19 +367,18 @@ def asymptotic_power(q: float, sigma2: float, sigma0_sq: float,
     return float(ndtr(-sqrt(sigma0_sq / sigma2) * float(ndtri(1.0 - epsilon)) + snr))
 
 
-def assumption_diagnostics(psis, omega, *,
-                           m_rows=None, sigmas=None, m_scale: float | None = None,
-                           heuristic: bool = False,
-                           d1_bound: float | None = None) -> DiagnosticsReport:
+def assumption_diagnostics(psis, omega, *, m_rows=None, m_scale: float | None = None,
+                           heuristic: bool = False) -> DiagnosticsReport:
     """Diagnostics for the regularity conditions behind the normal limit.
 
     omega is the ClassWeights of the design, whose class sizes and groups
     give the group sizes of group_imbalance.  psis are the symmetric
     compressed per-group covariances (population matrices in simulation
-    mode, sample scatters in plug-in mode).  m_rows/sigmas feed the
-    mean-concentration ratio, m_rows with one row per row class; it is
-    exactly 0 when they are omitted (plug-in mode, or a model without a
-    mean) or all within 1e-10 of m_scale, the largest mean entry.
+    mode, sample scatters in plug-in mode).  m_rows, the Omega-weighted
+    compressed mean rows with one row per row class, feed the
+    mean-concentration ratio through m Psi m'; it is exactly 0 when they
+    are omitted (plug-in mode, or a model without a mean) or all within
+    1e-10 of m_scale, the largest compressed mean entry.
 
     a2_ratio reads one syrk Psi' Psi per group in an active pair, and
     multiplies two psis only for a tuple whose Cauchy-Schwarz bound beats
@@ -433,35 +436,25 @@ def assumption_diagnostics(psis, omega, *,
         worst = max(worst, float(np.vdot(pair_product(a, b), pair_product(d, c))))
     a2_ratio = worst / b_sum ** 2 if b_sum > 0.0 else float("inf")
 
-    if m_rows is None:
-        a3_ratio = 0.0
-    else:
+    a3_ratio = 0.0
+    if m_rows is not None:
         m_rows = np.asarray(m_rows, dtype=float)
-        ref = m_scale if m_scale is not None else float(np.max(np.abs(m_rows), initial=0.0))
-        if float(np.max(np.abs(m_rows), initial=0.0)) <= 1e-10 * max(ref, 0.0):
-            a3_ratio = 0.0
-        else:
-            if sigmas is None:
-                raise ValueError("sigmas are required when m_rows are nonzero")
-            spread = _mean_term_spread(m_rows, sigmas, group_spans(group, g))
+        top = float(np.max(np.abs(m_rows), initial=0.0))
+        if top > 1e-10 * max(top if m_scale is None else m_scale, 0.0):
+            spread = _mean_term_spread(m_rows, psis, group_spans(group, g))
             a3_ratio = float((n @ spread ** 2) / (n @ spread) ** 2)
 
     return DiagnosticsReport(rho_n=rho_n, a2_ratio=a2_ratio, a3_ratio=a3_ratio,
-                             d1_bound=d1_bound, heuristic=heuristic,
+                             heuristic=heuristic,
                              group_imbalance=float(sizes.max() / sizes.min()))
 
 
-def model_diagnostics(model: MeanModel, design: DesignSpec, *,
-                      d1_bound: float | None = None) -> DiagnosticsReport:
+def model_diagnostics(model: MeanModel, design: DesignSpec) -> DiagnosticsReport:
     """Population-mode diagnostics for a fully specified model."""
-    entries = _check_covariances(model, design)
     proj = design.projections
-    psis = [_compressed_covariance(S, proj.thin, entry)
-            for S, entry in zip(model.sigmas, entries)]
+    psis = _psis(model, design, proj.thin)
     rows = mean_rows(model.theta, design)
     m_rows = m_scale = None
     if rows is not None:
-        m_rows, m_scale = expand(rows[1], proj.thin), float(np.max(np.abs(rows[0])))
-    return assumption_diagnostics(psis, proj.weights, m_rows=m_rows, sigmas=model.sigmas,
-                                  m_scale=m_scale, heuristic=False,
-                                  d1_bound=d1_bound)
+        m_rows, m_scale = rows[1], float(np.max(np.abs(rows[0])))
+    return assumption_diagnostics(psis, proj.weights, m_rows=m_rows, m_scale=m_scale)

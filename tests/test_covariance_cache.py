@@ -18,6 +18,7 @@ from gmanova import (
     MeanModel,
     canonical_direction,
     covariance,
+    growth_curve,
     model_diagnostics,
     monte_carlo,
     one_way_manova,
@@ -225,7 +226,10 @@ class TestSimulateVerb:
 
 class TestDesignWork:
     def test_hypothesis_grams_cached_on_the_design(self):
-        design = one_way_manova((5, 6, 7), 4).design
+        """On the dense route both Grams are formed once; a structured
+        response has no second one, which true_q reads in closed form."""
+        assert one_way_manova((5, 6, 7), 4).design.hypothesis_grams[1] is None
+        design = growth_curve((5, 6, 7), 6, 2).design
         GA, GB = design.hypothesis_grams
         assert design.hypothesis_grams[0] is GA
         A, B, L, R = design.A, design.B, design.L, design.R
@@ -252,7 +256,7 @@ class TestDesignWork:
 
     def test_symmetric_covariances_are_read_in_place(self, monkeypatch):
         """_compressed_covariance returns an exactly symmetric covariance
-        itself under a square compressor, and keeps the symmetry verdict on
+        itself under a skipped compressor, and keeps the symmetry verdict on
         its cache entry; an SPD-plus-skew one is read as its symmetric part,
         with the same variance.  sigma_full and model_diagnostics both go
         through it, and model_diagnostics hands the covariances themselves
@@ -261,7 +265,7 @@ class TestDesignWork:
 
         p = 5
         design = one_way_manova((6, 7, 8), p).design
-        P = design.projections.compressor
+        P = design.projections.thin
         rng = np.random.default_rng(8)
         sym = []
         for _ in range(3):

@@ -527,6 +527,32 @@ def test_non_finite_theta_names_its_key(tmp_path, capsys, theta, key):
     assert "annihilated" not in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry, named", [
+    ({"distributions": {"kind": "elliptical_t", "df": float("inf")}},
+     "elliptical_t needs a finite df > 4 for finite fourth moments, got inf"),
+    ({"distributions": {"kind": "standardized_gamma", "shape": float("inf")}},
+     "standardized_gamma needs a finite shape > 0, got inf"),
+    ({"covariances": {"kind": "identity", "scale": float("inf")}},
+     "scale must be positive and finite, got inf"),
+    ({"covariances": {"kind": "diagonal_ramp", "lo": 1.0, "hi": float("inf")}},
+     "diagonal_ramp needs finite 0 < lo <= hi, got lo=1.0, hi=inf"),
+    ({"covariances": {"kind": "diagonal_ramp", "lo": float("nan"), "hi": 2.0}},
+     "diagonal_ramp needs finite 0 < lo <= hi, got lo=nan, hi=2.0"),
+    ({"theta": {"kind": "signal_ray", "snr": float("nan")}},
+     "theta.snr must be finite and non-negative, got nan"),
+], ids=["df-inf", "shape-inf", "scale-inf", "hi-inf", "lo-nan", "snr-nan"])
+def test_non_finite_model_parameters_exit_2_naming_the_field(tmp_path, capsys, entry, named):
+    """An infinite df or shape ran every replication degenerate and exited
+    0, an infinite scale or hi exited 2 blaming an underflow, and a NaN snr
+    was "too large", each after RuntimeWarnings.  Each now exits 2 naming
+    the field, before any warning."""
+    f = _config_file(tmp_path, **entry)
+    assert main(["simulate", "--config", str(f), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("scale, flow", [(1e-320, "underflows"), (1e308, "overflows")])
 @pytest.mark.parametrize("verb", ["simulate", "diagnose"])
 def test_a_covariance_whose_squares_leave_the_float_range_exits_2(

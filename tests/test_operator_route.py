@@ -33,6 +33,7 @@ from gmanova import (
     MeanModel,
     calibrate_signal_ray,
     canonical_direction,
+    growth_curve,
     monte_carlo,
     one_way_manova,
     profile_parallelism,
@@ -41,8 +42,8 @@ from gmanova import (
     true_q,
     two_way_manova,
 )
-from gmanova.design import Structured, row_compressor
-from gmanova.estimators import compress, expand
+from gmanova.design import row_compressor
+from gmanova.estimators import compress
 from gmanova.oracle import t_by_decomposition
 from gmanova.scenarios import EFFECTS
 
@@ -129,10 +130,10 @@ def test_profile_reports_match_the_dense_compressor_and_the_oracle(case):
         assert abs(a - b) <= REL * abs(b), name
 
 
-def test_the_reflection_is_the_dense_compressor_and_its_transpose():
-    """compress and expand by the reflection equal the products with the
-    dense compressor, an orthonormal basis of the complement of the ones
-    vector, and the dense B and R are the matrices of the structure."""
+def test_the_reflection_is_the_dense_compressor():
+    """compress by the reflection equals the product with the dense
+    compressor, an orthonormal basis of the complement of the ones vector,
+    and the dense B and R are the matrices of the structure."""
     p = 7
     design = profile_parallelism((4, 5), p).design
     w = row_compressor(design)
@@ -143,12 +144,38 @@ def test_the_reflection_is_the_dense_compressor_and_its_transpose():
     assert np.allclose(P @ np.ones(p), 0.0, atol=1e-14)
     Z = np.random.default_rng(2).normal(size=(3, 5, p))
     assert np.allclose(compress(Z, w), Z @ P.T, atol=1e-14)
-    Y = compress(Z, w)
-    assert np.allclose(expand(Y, w), Y @ P, atol=1e-14)
     D = design.R
     assert np.array_equal(D, np.eye(p - 1, p) - np.eye(p - 1, p, k=1))
     assert np.array_equal(design.B, np.eye(p)) and not D.flags.writeable
-    assert np.array_equal(Structured("differences", p).gram(), D @ D.T)
+
+
+@pytest.mark.parametrize("make", [lambda sizes, p: profile_parallelism(sizes, p),
+                                  lambda sizes, p: growth_curve(sizes, p, 2)],
+                         ids=["reflection", "dense"])
+def test_compress_into_a_chunk_slot_is_bitwise_compress(make):
+    """compress(..., out=slot) into a strided slot of a chunk stack laid out
+    over N first, as a Monte Carlo chunk is, writes bitwise compress(...)."""
+    design = make((6, 7, 8), 12).design
+    thin = design.projections.thin
+    X = np.random.default_rng(6).standard_normal((design.N, design.p))
+    stack = np.empty((design.N, 5, design.r)).swapaxes(0, 1)
+    compress(X, thin, out=stack[3])
+    assert not stack[3].flags.c_contiguous
+    assert np.array_equal(stack[3], compress(X, thin))
+
+
+def test_true_q_reads_profile_in_closed_form():
+    """true_q on profile parallelism, six groups of 10 at p = 2000, forms no
+    Gram of R: under 1 MB of tracemalloc peak (R R' alone is 32 MB)."""
+    design = profile_parallelism((10,) * 6, 2000).design
+    theta = np.random.default_rng(7).normal(size=(design.k, design.q))
+    tracemalloc.start()
+    try:
+        q = true_q(theta, design)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q > 0.0 and peak < 1e6, peak / 1e6
 
 
 @pytest.mark.parametrize("make, p", [(one_way_manova, 9), (profile_parallelism, 9),

@@ -174,7 +174,7 @@ def test_class_build_matches_dense_build(layout, data):
     assert close(got_sigma, sigma) and close(got_sigma0, sigma0)
 
     pre = design.A @ model.theta @ design.B.T @ proj.compressor.T
-    want = assumption_diagnostics(psis, dense, m_rows=M, sigmas=model.sigmas,
+    want = assumption_diagnostics(psis, dense, m_rows=M @ proj.compressor.T,
                                   m_scale=float(np.max(np.abs(pre))))
     assert same_report(model_diagnostics(model, design), want)
 

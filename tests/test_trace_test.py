@@ -215,12 +215,6 @@ class TestDiagnostics:
         with pytest.raises(ValueError):
             assumption_diagnostics([np.eye(2)], one_row_classes(np.zeros((3, 3)), (3,)))
 
-    def test_d1_bound_passthrough(self):
-        design = one_way_manova((3, 3), 2).design
-        proj = build_projections(design)
-        diag = assumption_diagnostics([np.eye(2)] * 2, proj.weights, d1_bound=4.5)
-        assert diag.d1_bound == 4.5
-
     def test_group_imbalance(self):
         design = one_way_manova((4, 8), 2).design
         proj = build_projections(design)

@@ -9,6 +9,7 @@ and prints the child's wall time and maximum resident set size.  The
     two-way  --scenario two-way --levels 2,3 --effect interaction (default)
     one-way  --scenario one-way
     profile  --scenario profile-parallelism
+    growth   --scenario growth-curve --degree 2
 
 and --no-diagnostics drops `--diagnostics` from the call.  It exits 1 when
 the child exits non-zero or its maximum resident set size exceeds
@@ -19,6 +20,8 @@ Run from the repository root:
     PYTHONPATH=src python tools/paper_regime.py --p 2000 --max-rss-mb 700
     PYTHONPATH=src python tools/paper_regime.py --scenario one-way --p 20000 \\
         --no-diagnostics --max-rss-mb 300
+    PYTHONPATH=src python tools/paper_regime.py --scenario growth --p 20000 \\
+        --max-rss-mb 300
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ SCENARIOS = {
     "two-way": ["--scenario", "two-way", "--levels", "2,3", "--effect", "interaction"],
     "one-way": ["--scenario", "one-way"],
     "profile": ["--scenario", "profile-parallelism"],
+    "growth": ["--scenario", "growth-curve", "--degree", "2"],
 }
 
 
